@@ -359,8 +359,8 @@ func BenchmarkCoreForecasterClone(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreForecast measures one full cautious forecast (8 evolved
-// ticks, mixture quantiles).
+// BenchmarkCoreForecast measures one full cautious forecast (mixture
+// quantiles at 8 ticks against the folded table).
 func BenchmarkCoreForecast(b *testing.B) {
 	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{}))
 	for i := 0; i < 200; i++ {
@@ -410,9 +410,8 @@ func BenchmarkForecastSweepNaive(b *testing.B) {
 }
 
 // BenchmarkForecastBatch measures 16 co-scheduled forecasters answered in
-// one ForecastBatch call — per-tick evolutions interleaved over the shared
-// immutable Poisson table, as the CellWorld scheduler will consume them.
-// ns/op is for the whole batch (divide by 16 for per-flow cost).
+// one ForecastBatch call, as the cell world's hub consumes them. ns/op is
+// for the whole batch (divide by 16 for per-flow cost).
 func BenchmarkForecastBatch(b *testing.B) {
 	const flows = 16
 	fs := make([]*sprout.DeliveryForecaster, flows)
@@ -426,21 +425,6 @@ func BenchmarkForecastBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf = sprout.ForecastBatch(buf[:0], fs)
-	}
-}
-
-// BenchmarkCoreForecastFast is BenchmarkCoreForecast in the opt-in
-// quantized (float32 lookahead) mode, for the earn-its-keep comparison
-// recorded in DESIGN.md §12.4.
-func BenchmarkCoreForecastFast(b *testing.B) {
-	f := sprout.NewDeliveryForecaster(sprout.NewModel(sprout.Params{FastForecast: true}))
-	for i := 0; i < 200; i++ {
-		f.Tick(6, sprout.ObsExact)
-	}
-	var buf []float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = f.Forecast(buf[:0])
 	}
 }
 

@@ -111,6 +111,40 @@ func TestForecastTableSharedAcrossForecasters(t *testing.T) {
 	}
 }
 
+// TestForecastTableSingleFlight: forecasters built concurrently at a new
+// key share one table from one build — the fold is never raced.
+func TestForecastTableSingleFlight(t *testing.T) {
+	// Run against an empty cache so earlier tests cannot have filled it.
+	tableMu.Lock()
+	saved := tableCache
+	tableCache = map[tableKey]*tableEntry{}
+	tableMu.Unlock()
+	defer func() {
+		tableMu.Lock()
+		tableCache = saved
+		tableMu.Unlock()
+	}()
+	_, misses0, _ := TableCacheStats()
+	fs := make([]*DeliveryForecaster, 8)
+	var wg sync.WaitGroup
+	for i := range fs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			fs[i] = NewDeliveryForecaster(NewModel(Params{NumBins: 48, MaxRate: 123}))
+		}(i)
+	}
+	wg.Wait()
+	for i, f := range fs {
+		if f.tbl != fs[0].tbl || f.tbl.fold == nil {
+			t.Fatalf("forecaster %d got its own or an unbuilt table", i)
+		}
+	}
+	if _, misses, _ := TableCacheStats(); misses-misses0 != 1 {
+		t.Errorf("%d builds stored for one key, want 1", misses-misses0)
+	}
+}
+
 func TestForecastTableCacheBounded(t *testing.T) {
 	// Sweeping a table-shaping parameter past the cache limit must keep
 	// working (uncached builds), not retain a table per value forever.

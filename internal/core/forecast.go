@@ -8,14 +8,14 @@ import (
 	"sprout/internal/stats"
 )
 
-// forecastTable is the precomputed Poisson CDF table behind the cautious
-// forecast. It is immutable once built, so one table is shared by every
-// forecaster (and every Clone) whose model has the same table-shaping
-// parameters; a process running thousands of parallel experiments builds
-// it exactly once per parameter set.
+// forecastTable holds the precomputed tables behind the cautious forecast.
+// It is immutable once built, so one table is shared by every forecaster
+// (and every Clone) whose model has the same table-shaping parameters; a
+// process running thousands of parallel experiments builds it exactly once
+// per parameter set.
 //
-// The entries are stored in a single contiguous slice laid out so that a
-// mixture-CDF evaluation at a fixed (tick, count) reads the bin dimension
+// flat is the Poisson CDF table F, laid out so that a mixture-CDF
+// evaluation at a fixed (tick, count) reads the bin dimension
 // consecutively:
 //
 //	flat[off[i] + k*bins + j] = P(C <= k | λ = bin j at tick i+1)
@@ -23,24 +23,23 @@ import (
 // Each tick has its own count bound maxK[i] ≈ MaxRate·(i+1)·τ (padded 25%
 // plus a constant so quantile scans never clip): early ticks store and
 // scan far fewer counts than the horizon tick needs.
+//
+// fold is the lookahead folded into the same layout. The observation-free
+// evolution is a fixed linear operator T (the model's kernel and outage
+// stickiness), so tick i's mixture CDF of an evolved posterior,
+// (T^(i+1)·p)·F_i[k], equals p·G_i[k] with G_i = (T^(i+1))ᵀ·F_i:
+//
+//	fold[off[i] + k*bins + j] = Σ_m (T^(i+1)·e_j)[m] · F_i[k][m]
+//
+// A forecast therefore reads the un-evolved posterior against fold and
+// evolves nothing. sigma records which kernel fold was built from.
 type forecastTable struct {
-	bins int
-	flat []float64
-	off  []int
-	maxK []int
-
-	// flat32 is the lazily built float32 copy backing the opt-in fast
-	// forecast mode (Params.FastForecast); exact-mode users never pay
-	// for it. Same layout as flat, with entries below tableCut32 zeroed
-	// (see tiny32: float32 subnormals cost ~100-cycle assists on x86, so
-	// fast mode keeps every operand well clear of the underflow floor).
-	// rowEnd32[rowOff32[tick]+k] is the bin index where row (tick, k)
-	// goes to zero and stays there — the mixture scans stop early since
-	// everything beyond contributes exact +0.
-	once32   sync.Once
-	flat32   []float32
-	rowEnd32 []int32
-	rowOff32 []int
+	bins  int
+	off   []int
+	maxK  []int
+	flat  []float64
+	fold  []float64
+	sigma float64
 }
 
 // row returns the bins-long CDF slice at (tick, count k).
@@ -49,52 +48,7 @@ func (t *forecastTable) row(tick, k int) []float64 {
 	return t.flat[base : base+t.bins]
 }
 
-// tableCut32 is the flush floor applied to the float32 table copy: CDF
-// entries below it become exact zeros. Combined with the posterior floor
-// tiny32 this keeps every mixture product ≥ tiny32·tableCut32 = 1e-35 —
-// normal float32 range — so no multiply ever takes the subnormal assist.
-// An entry ≤ 1e-20 contributes less than 1e-20 to a sum compared against
-// p ≥ 1e-9 in ~7-digit arithmetic: nothing.
-const tableCut32 = 1e-20
-
-// fast32 returns the float32 copy of the table, building it on first use
-// together with the per-row scan bounds.
-func (t *forecastTable) fast32() []float32 {
-	t.once32.Do(func() {
-		f := make([]float32, len(t.flat))
-		for i, v := range t.flat {
-			// Compare in float64 so sub-floor values are never even
-			// converted (the conversion itself would pay the assist).
-			if v >= tableCut32 {
-				f[i] = float32(v)
-			}
-		}
-		t.flat32 = f
-		// Row (tick, k) is P(C <= k | λ = bin j): nonincreasing in j, so
-		// once it falls below the cut the rest of the row is zero. Record
-		// where, so the mixture scans skip the dead tail.
-		t.rowOff32 = make([]int, len(t.off))
-		rows := 0
-		for i := range t.off {
-			t.rowOff32[i] = t.off[i] / t.bins
-			rows += t.maxK[i] + 1
-		}
-		t.rowEnd32 = make([]int32, rows)
-		for i := range t.off {
-			for k := 0; k <= t.maxK[i]; k++ {
-				row := t.flat[t.off[i]+k*t.bins : t.off[i]+(k+1)*t.bins]
-				end := len(row)
-				for end > 0 && row[end-1] < tableCut32 {
-					end--
-				}
-				t.rowEnd32[t.rowOff32[i]+k] = int32(end)
-			}
-		}
-	})
-	return t.flat32
-}
-
-func buildForecastTable(binRate []float64, tau float64, ticks int, maxRate float64) *forecastTable {
+func buildCDFTable(binRate []float64, tau float64, ticks int, maxRate float64) *forecastTable {
 	t := &forecastTable{
 		bins: len(binRate),
 		off:  make([]int, ticks),
@@ -119,40 +73,102 @@ func buildForecastTable(binRate []float64, tau float64, ticks int, maxRate float
 	return t
 }
 
-// tableKey captures exactly the parameters the table depends on: the bin
+// buildFold fills t.fold for m's kernel: each unit posterior e_j is evolved
+// through the horizon with the model's own evolveWindow, and after step i
+// its evolved vector is dotted with every row of F_i over the vector's
+// support window. Four rows share each pass over the vector.
+func (t *forecastTable) buildFold(m *Model) {
+	n := t.bins
+	t.fold = make([]float64, len(t.flat))
+	t.sigma = m.p.Sigma
+	cur, next := make([]float64, n), make([]float64, n)
+	for j := 0; j < n; j++ {
+		clear(cur)
+		cur[j] = 1
+		lo, hi := j, j+1
+		for i, base := range t.off {
+			lo, hi = evolveWindow(next, cur, m.kernel, m.kernelPad, m.radius, m.outageStay, lo, hi)
+			cur, next = next, cur
+			v := cur[lo:hi]
+			k := 0
+			for ; k+3 <= t.maxK[i]; k += 4 {
+				r1 := t.row(i, k)[lo:hi]
+				r2 := t.row(i, k+1)[lo:hi]
+				r3 := t.row(i, k+2)[lo:hi]
+				r4 := t.row(i, k+3)[lo:hi]
+				var s1, s2, s3, s4 float64
+				for x, w := range v {
+					s1 += w * r1[x]
+					s2 += w * r2[x]
+					s3 += w * r3[x]
+					s4 += w * r4[x]
+				}
+				g := t.fold[base+k*n+j:]
+				g[0], g[n], g[2*n], g[3*n] = s1, s2, s3, s4
+			}
+			for ; k <= t.maxK[i]; k++ {
+				r := t.row(i, k)[lo:hi]
+				var s float64
+				for x, w := range v {
+					s += w * r[x]
+				}
+				t.fold[base+k*n+j] = s
+			}
+		}
+	}
+}
+
+// buildForecastTable builds F and its fold for m's parameters and kernel.
+func buildForecastTable(m *Model) *forecastTable {
+	t := buildCDFTable(m.binRate, m.p.Tick.Seconds(), m.p.ForecastTicks, m.p.MaxRate)
+	t.buildFold(m)
+	return t
+}
+
+// tableKey captures exactly the parameters the tables depend on: the bin
 // grid (NumBins + MaxRate determine binRate), the tick length and the
-// horizon. Confidence does not shape the table, so the §5.5 sweep shares
-// one table across all its runs.
+// horizon shape F; σ and λz shape the evolution folded into G.
+// Confidence shapes neither, so the §5.5 sweep shares one table across all
+// its runs.
 type tableKey struct {
-	bins    int
-	ticks   int
-	maxRate float64
-	tick    time.Duration
+	bins         int
+	ticks        int
+	maxRate      float64
+	tick         time.Duration
+	sigma        float64
+	outageEscape float64
 }
 
 // TableCacheLimit bounds the process-wide forecast-table cache: a table at
-// the default parameters holds ~300k float64s (~2.4 MB), and entries are
-// never evicted, so a library consumer sweeping a table-shaping parameter
-// past this many distinct values gets uncached (per-forecaster) tables
-// rather than unbounded retained memory. TableCacheStats makes that
-// degradation observable.
+// the default parameters holds ~500k float64s (~4 MB, F and its fold), and
+// entries are never evicted, so a library consumer sweeping a
+// table-shaping parameter past this many distinct values gets uncached
+// (per-forecaster) tables rather than unbounded retained memory.
+// TableCacheStats makes that degradation observable.
 const TableCacheLimit = 16
+
+// tableEntry is one cache slot. The first forecaster at a key builds the
+// table under once; concurrent forecasters at the same key wait for that
+// build instead of duplicating it.
+type tableEntry struct {
+	once sync.Once
+	t    *forecastTable
+}
 
 var (
 	tableMu       sync.Mutex
-	tableCache    = map[tableKey]*forecastTable{}
+	tableCache    = map[tableKey]*tableEntry{}
 	tableHits     int64
 	tableMisses   int64
 	tableUncached int64
 )
 
 // TableCacheStats reports the process-wide forecast-table cache counters:
-// hits (a forecaster reused a cached table), misses (a fresh build that
-// was — or raced another builder that was — stored), and uncached builds
-// (the cache was already at its size limit, so the build could not be
-// stored and every further forecaster at those parameters rebuilds its
-// own ~2.4 MB table). A nonzero uncached count means a parameter sweep
-// has silently outgrown the cache.
+// hits (a forecaster reused a cached or in-flight table), misses (a fresh
+// build that was stored), and uncached builds (the cache was already at
+// its size limit, so the build could not be stored and every further
+// forecaster at those parameters rebuilds its own ~4 MB table). A nonzero
+// uncached count means a parameter sweep has silently outgrown the cache.
 func TableCacheStats() (hits, misses, uncached int64) {
 	tableMu.Lock()
 	defer tableMu.Unlock()
@@ -161,35 +177,32 @@ func TableCacheStats() (hits, misses, uncached int64) {
 
 func forecastTableFor(m *Model) *forecastTable {
 	key := tableKey{
-		bins:    m.NumBins(),
-		ticks:   m.p.ForecastTicks,
-		maxRate: m.p.MaxRate,
-		tick:    m.p.Tick,
+		bins:         m.NumBins(),
+		ticks:        m.p.ForecastTicks,
+		maxRate:      m.p.MaxRate,
+		tick:         m.p.Tick,
+		sigma:        m.p.Sigma,
+		outageEscape: m.p.OutageEscape,
 	}
 	tableMu.Lock()
-	if t, ok := tableCache[key]; ok {
+	e, ok := tableCache[key]
+	switch {
+	case ok:
 		tableHits++
+	case len(tableCache) < TableCacheLimit:
+		e = &tableEntry{}
+		tableCache[key] = e
+		tableMisses++
+	default:
+		tableUncached++
 		tableMu.Unlock()
-		return t
+		return buildForecastTable(m)
 	}
 	tableMu.Unlock()
-	// Build outside the lock so slow builds for different keys proceed in
-	// parallel; concurrent builders of the same key race benignly (both
-	// tables are identical, the first to store wins).
-	t := buildForecastTable(m.binRate, m.p.Tick.Seconds(), m.p.ForecastTicks, m.p.MaxRate)
-	tableMu.Lock()
-	defer tableMu.Unlock()
-	if cached, ok := tableCache[key]; ok {
-		tableMisses++ // this build lost the benign race; the table is cached
-		return cached
-	}
-	if len(tableCache) < TableCacheLimit {
-		tableCache[key] = t
-		tableMisses++
-	} else {
-		tableUncached++
-	}
-	return t
+	// Build outside the global lock, so builds for different keys proceed
+	// in parallel; the entry's once makes the build single-flight per key.
+	e.once.Do(func() { e.t = buildForecastTable(m) })
+	return e.t
 }
 
 // DeliveryForecaster produces Sprout's cautious packet-delivery forecast
@@ -198,15 +211,21 @@ func forecastTableFor(m *Model) *forecastTable {
 // exceeds Q_i with probability at least Confidence.
 //
 // As in the paper, nearly everything is precomputed: the Poisson CDF table
-// indexed by (tick, count, rate bin) is built once per parameter set and
-// shared process-wide, so a runtime forecast is only a kernel evolution of
-// the current posterior plus weighted sums over the 256 bins.
+// indexed by (tick, count, rate bin), with the observation-free lookahead
+// evolution folded into it, is built once per parameter set and shared
+// process-wide, so a runtime forecast is only weighted sums of the current
+// posterior over its live bins.
 //
 // The cumulative count by future tick i, conditioned on the rate path, is a
 // Poisson with mean ∫λ dt. Following the paper's "sum over each λ" step we
 // approximate the path integral by λ_i · i·τ where λ_i is the rate at tick
 // i drawn from the evolved (observation-free) posterior; the Brownian
 // evolution itself carries the uncertainty between ticks.
+//
+// A forecaster whose model's σ has moved off the one the table was folded
+// from (AdaptiveForecaster after SetSigma) evolves a copy of the posterior
+// tick by tick and mixes it against F instead — the same forecast, by the
+// unfolded route.
 //
 // A DeliveryForecaster is not safe for concurrent use, but Clone returns
 // an independent copy (sharing only the immutable table) so each worker in
@@ -215,11 +234,13 @@ type DeliveryForecaster struct {
 	model *Model
 	tbl   *forecastTable
 
-	// scratch buffers for the observation-free evolution, plus the
-	// support window of cur (see Model.lo/hi): the mixture sums scan
-	// only live bins.
+	// The operands of the mixture sums: weights w with nonzero support
+	// [lo, hi), read against table rows (tbl.fold or tbl.flat).
+	w, rows []float64
+	lo, hi  int
+
+	// Lookahead scratch of the unfolded path, allocated on first use.
 	cur, next []float64
-	lo, hi    int
 
 	// Sweep scratch for ForecastAll: the requested confidences as
 	// p-values sorted ascending, each remembering its caller slot, plus
@@ -229,67 +250,27 @@ type DeliveryForecaster struct {
 	sweepIdx  []int
 	sweepPrev []int
 	one       [1]float64 // ForecastAt's single-confidence view
-
-	// Fast-mode state (Params.FastForecast): float32 mirrors of the
-	// evolution scratch and the model's kernel, plus the shared float32
-	// table copy. kernelFrom identifies the float64 kernel the mirrors
-	// were built from, so SetSigma's kernel swap triggers a rebuild.
-	cur32, next32         []float32
-	kernel32, kernelPad32 []float32
-	kernelFrom            *float64
-	tblFlat32             []float32
 }
 
 // NewDeliveryForecaster builds the forecaster for the model, reusing the
-// process-wide CDF table when one with matching parameters exists.
+// process-wide table when one with matching parameters exists.
 func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
-	f := &DeliveryForecaster{
-		model: m,
-		tbl:   forecastTableFor(m),
-	}
-	if m.p.FastForecast {
-		f.cur32 = make([]float32, m.NumBins())
-		f.next32 = make([]float32, m.NumBins())
-		f.tblFlat32 = f.tbl.fast32()
-		f.syncFastKernel()
-	} else {
-		f.cur = make([]float64, m.NumBins())
-		f.next = make([]float64, m.NumBins())
-	}
-	return f
+	return &DeliveryForecaster{model: m, tbl: forecastTableFor(m)}
 }
 
 // Clone returns an independent forecaster whose model and scratch state
-// are deep-copied while the immutable CDF table is shared. The clone may
-// be Ticked concurrently with the original.
+// are deep-copied while the immutable table is shared. The clone may be
+// Ticked concurrently with the original.
 func (f *DeliveryForecaster) Clone() *DeliveryForecaster {
-	c := &DeliveryForecaster{
-		model:     f.model.Clone(),
-		tbl:       f.tbl,
-		tblFlat32: f.tblFlat32,
-		// The float32 kernel mirrors are immutable once built (a sigma
-		// change installs fresh slices), so the clone shares them.
-		kernel32:    f.kernel32,
-		kernelPad32: f.kernelPad32,
-		kernelFrom:  f.kernelFrom,
-	}
-	if f.cur != nil {
-		c.cur = make([]float64, len(f.cur))
-		c.next = make([]float64, len(f.next))
-	}
-	if f.cur32 != nil {
-		c.cur32 = make([]float32, len(f.cur32))
-		c.next32 = make([]float32, len(f.next32))
-	}
-	return c
+	return &DeliveryForecaster{model: f.model.Clone(), tbl: f.tbl}
 }
 
 // Model returns the underlying Bayesian filter.
 func (f *DeliveryForecaster) Model() *Model { return f.model }
 
 // Reset implements Forecaster: the model returns to its uniform prior; the
-// shared CDF table and the scratch buffers (overwritten by every Forecast)
-// are retained, so reuse allocates nothing.
+// shared table and the scratch buffers (overwritten by every Forecast) are
+// retained, so reuse allocates nothing.
 func (f *DeliveryForecaster) Reset() { f.model.Reset() }
 
 // Tick implements Forecaster: evolve one tick, then apply the observation
@@ -312,10 +293,10 @@ func (f *DeliveryForecaster) HorizonTicks() int { return f.model.p.ForecastTicks
 // TickDuration implements Forecaster.
 func (f *DeliveryForecaster) TickDuration() time.Duration { return f.model.p.Tick }
 
-// Forecast implements Forecaster: it evolves a copy of the posterior
-// forward tick by tick (without observations) and, at each tick, returns
-// the (1−Confidence) quantile of the cumulative-delivery mixture.
-// The result is nondecreasing across ticks.
+// Forecast implements Forecaster: at each tick of the horizon it returns
+// the (1−Confidence) quantile of the cumulative-delivery mixture under the
+// observation-free evolved posterior. The result is nondecreasing across
+// ticks.
 func (f *DeliveryForecaster) Forecast(dst []float64) []float64 {
 	return f.ForecastAt(dst, f.model.p.Confidence)
 }
@@ -345,15 +326,22 @@ func clampP(confidence float64) float64 {
 // confidences[1]'s, and so on — each block exactly what ForecastAt at
 // that confidence appends (bit-identical, any order, duplicates allowed).
 //
-// This is the §5.5 sweep entry point, and the reason it exists: every
-// confidence reads the same evolved posterior, so the evolution — by far
-// the dominant cost — runs once per tick for the whole sweep instead of
-// once per confidence. Within a tick the quantile searches share one
-// monotone walk up the count axis: the p-values are visited in ascending
-// order and each search warm-starts at the previous answer (provably its
-// lower bound), so later confidences usually cost a handful of extra CDF
-// probes. A k-confidence sweep is therefore close to the price of one.
+// This is the §5.5 sweep entry point. Every confidence reads the same
+// mixture, so within a tick the quantile searches share one monotone walk
+// up the count axis: the p-values are visited in ascending order and each
+// search warm-starts at the previous answer (provably its lower bound), so
+// later confidences usually cost a handful of extra CDF probes. A
+// k-confidence sweep is therefore close to the price of one.
 func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) []float64 {
+	return f.forecastAll(dst, confidences, f.model.p.Sigma == f.tbl.sigma)
+}
+
+// forecastAll is ForecastAll by the folded route (the posterior read
+// against G at every tick) or the unfolded one (a scratch copy evolved
+// tick by tick and read against F). The two agree whenever folded is
+// legal, which is what lets the tests use the unfolded route as the
+// folded one's oracle.
+func (f *DeliveryForecaster) forecastAll(dst []float64, confidences []float64, folded bool) []float64 {
 	nc := len(confidences)
 	if nc == 0 {
 		return dst
@@ -378,9 +366,22 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 		f.sweepPrev = append(f.sweepPrev, 0)
 	}
 
-	f.beginEvolve()
+	m := f.model
+	if folded {
+		f.w, f.rows, f.lo, f.hi = m.probs, f.tbl.fold, m.lo, m.hi
+	} else {
+		if f.cur == nil {
+			f.cur, f.next = make([]float64, len(m.probs)), make([]float64, len(m.probs))
+		}
+		copy(f.cur, m.probs)
+		f.rows, f.lo, f.hi = f.tbl.flat, m.lo, m.hi
+	}
 	for i := 0; i < ticks; i++ {
-		f.stepEvolve()
+		if !folded {
+			f.lo, f.hi = evolveWindow(f.next, f.cur, m.kernel, m.kernelPad, m.radius, m.outageStay, f.lo, f.hi)
+			f.cur, f.next = f.next, f.cur
+			f.w = f.cur
+		}
 		// One monotone walk answers every confidence: ascending p means
 		// ascending quantile, so each search starts at the larger of its
 		// own previous-tick bound and the preceding confidence's answer
@@ -394,7 +395,7 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 			if walk > from {
 				from = walk
 			}
-			q := f.quantileFrom(i, f.sweepP[s], from)
+			q := f.mixtureQuantileFrom(i, f.sweepP[s], from)
 			f.sweepPrev[ci] = q
 			walk = q
 			dst[base+ci*ticks+i] = float64(q)
@@ -405,49 +406,14 @@ func (f *DeliveryForecaster) ForecastAll(dst []float64, confidences []float64) [
 
 // ForecastBatch appends, for each forecaster in fs, its cautious forecast
 // at its own configured confidence — fs[0]'s HorizonTicks values, then
-// fs[1]'s, and so on — exactly as if each had run Forecast independently
-// (bit-identical). The forecasters must be distinct (they keep per-call
-// scratch); they may differ in parameters, including horizon.
-//
-// The evolutions are interleaved tick by tick, so when the forecasters
-// share a table the batch walks each per-tick CDF region once for all N
-// flows while it is cache-hot, instead of N full passes over the whole
-// table. This is the inference API for a shared-cell scheduler that
-// forecasts many co-scheduled flows at the same instant.
+// fs[1]'s, and so on — exactly what each one's Forecast appends. The
+// forecasters may differ in parameters, including horizon. This is the
+// inference API a shared-cell scheduler calls for all its flows at one
+// instant; with the lookahead folded into the table there is nothing left
+// to share across flows, so it is a plain loop.
 func ForecastBatch(dst []float64, fs []*DeliveryForecaster) []float64 {
-	if len(fs) == 0 {
-		return dst
-	}
-	base := len(dst)
-	total, maxTicks := 0, 0
 	for _, f := range fs {
-		t := f.model.p.ForecastTicks
-		total += t
-		if t > maxTicks {
-			maxTicks = t
-		}
-	}
-	dst = extendFloats(dst, total)
-	for _, f := range fs {
-		f.beginEvolve()
-	}
-	for i := 0; i < maxTicks; i++ {
-		off := base
-		for _, f := range fs {
-			ticks := f.model.p.ForecastTicks
-			if i < ticks {
-				f.stepEvolve()
-				prev := 0
-				if i > 0 {
-					// The previous tick's bound is already in dst;
-					// reading it back keeps the batch allocation-free.
-					prev = int(dst[off+i-1])
-				}
-				q := f.quantileFrom(i, clampP(f.model.p.Confidence), prev)
-				dst[off+i] = float64(q)
-			}
-			off += ticks
-		}
+		dst = f.Forecast(dst)
 	}
 	return dst
 }
@@ -461,95 +427,7 @@ func extendFloats(dst []float64, n int) []float64 {
 		copy(g, dst)
 		dst = g
 	}
-	return dst[: len(dst)+n]
-}
-
-// tiny32 is fast mode's deterministic flush-to-zero floor. float32
-// products underflow into subnormals below ~1.2e-38 — mass the forecast
-// cannot see (float32 carries ~7 digits against a total of 1.0) but that
-// x86 punishes with ~100-cycle microcode assists, which is what made a
-// naive float32 port slower than the exact float64 path. Flushing the
-// posterior below 1e-15 after each evolution keeps every later product
-// normal: ≥ 1e-15·tableCut32 = 1e-35 in the mixtures, ≥ 1e-15·(smallest
-// kernel weight ~1e-6) in the evolutions. The flush is an explicit
-// threshold comparison, so fast mode stays deterministic across platforms
-// and its golden hash stays pinned.
-const tiny32 = 1e-15
-
-// flushTiny32 zeroes sub-floor entries of v inside [lo, hi) and tightens
-// the support window to the surviving mass.
-func flushTiny32(v []float32, lo, hi int) (int, int) {
-	for i := lo; i < hi; i++ {
-		if v[i] < tiny32 {
-			v[i] = 0
-		}
-	}
-	for lo < hi && v[lo] == 0 {
-		lo++
-	}
-	for hi > lo && v[hi-1] == 0 {
-		hi--
-	}
-	return lo, hi
-}
-
-// beginEvolve copies the model's posterior into the lookahead scratch.
-func (f *DeliveryForecaster) beginEvolve() {
-	m := f.model
-	f.lo, f.hi = m.lo, m.hi
-	if m.p.FastForecast {
-		f.syncFastKernel()
-		// Compare before converting: converting a sub-floor float64
-		// would itself produce (and pay for) a subnormal float32.
-		for j, v := range m.probs {
-			if v >= tiny32 {
-				f.cur32[j] = float32(v)
-			} else {
-				f.cur32[j] = 0
-			}
-		}
-		f.lo, f.hi = flushTiny32(f.cur32, f.lo, f.hi)
-		return
-	}
-	copy(f.cur, m.probs)
-}
-
-// stepEvolve advances the lookahead posterior one observation-free tick.
-func (f *DeliveryForecaster) stepEvolve() {
-	m := f.model
-	if m.p.FastForecast {
-		f.lo, f.hi = evolveWindow(f.next32, f.cur32, f.kernel32, f.kernelPad32, m.radius, float32(m.outageStay), f.lo, f.hi)
-		f.lo, f.hi = flushTiny32(f.next32, f.lo, f.hi)
-		f.cur32, f.next32 = f.next32, f.cur32
-		return
-	}
-	f.lo, f.hi = evolveWindow(f.next, f.cur, m.kernel, m.kernelPad, m.radius, m.outageStay, f.lo, f.hi)
-	f.cur, f.next = f.next, f.cur
-}
-
-// quantileFrom dispatches the per-tick quantile search to the exact or
-// fast-mode mixture.
-func (f *DeliveryForecaster) quantileFrom(tick int, p float64, lo0 int) int {
-	if f.model.p.FastForecast {
-		return f.mixtureQuantileFrom32(tick, p, lo0)
-	}
-	return f.mixtureQuantileFrom(tick, p, lo0)
-}
-
-// syncFastKernel (re)builds the float32 kernel mirrors when the model's
-// kernel has been replaced (SetSigma); a no-op otherwise.
-func (f *DeliveryForecaster) syncFastKernel() {
-	m := f.model
-	if f.kernelFrom == &m.kernel[0] {
-		return
-	}
-	k32 := make([]float32, len(m.kernel))
-	for i, w := range m.kernel {
-		k32[i] = float32(w)
-	}
-	f.kernel32 = k32
-	f.kernelPad32 = padKernel(k32)
-	f.kernelFrom = &m.kernel[0]
+	return dst[:len(dst)+n]
 }
 
 // mixtureQuantileFrom returns max(lo0, q) where q is the smallest count
@@ -559,215 +437,100 @@ func (f *DeliveryForecaster) syncFastKernel() {
 // bound.
 //
 // Search strategy cannot change the result: F is a pure nondecreasing
-// function of k (every evaluation an independent windowed dot product),
+// function of k (every evaluation an independent windowed dot product of
+// non-negative weights with rows that are elementwise nondecreasing in k),
 // so any probe order finds the same first count with F(k) > p. The shape
-// below exists purely for speed — each CDF evaluation is a latency-bound
-// chain of dependent adds, so probing four counts per pass (mixtureCDF4's
-// independent accumulators) costs about the same as probing one.
+// below exists purely for speed. Each CDF evaluation is a latency-bound
+// chain of dependent adds, so every pass probes four counts at once
+// (mixtureCDF4's independent accumulators) for about the price of one.
+// The bound usually advances a few counts per tick, so the passes gallop
+// up from lo0 with doubling strides until they bracket the answer, then
+// split the bracket five ways until at most four candidates remain.
 func (f *DeliveryForecaster) mixtureQuantileFrom(tick int, p float64, lo0 int) int {
-	hi := f.tbl.maxK[tick]
-	if lo0 >= hi {
-		return lo0
+	// Invariant: F(k) <= p for every k in [lo0, lo), and the answer is at
+	// most hi (F(hi) > p, or hi is the count bound).
+	lo, hi := lo0, f.tbl.maxK[tick]
+	if lo >= hi {
+		return lo
 	}
-	if f.mixtureCDF(tick, lo0) > p {
-		return lo0
-	}
-	lo := lo0
-	// The cumulative bound usually advances only a few counts per tick,
-	// so probe the next four counts in one pass before searching.
-	if lo+4 <= hi {
-		f1, f2, f3, f4 := f.mixtureCDF4(tick, lo+1, lo+2, lo+3, lo+4)
+	step, bracketed := 1, false
+	for hi-lo > 4 {
+		var q [5]int // q[0] = lo-1 is already known to be <= p
+		q[0] = lo - 1
+		if n := hi - lo; bracketed || 4*step >= n {
+			for m := 1; m < 5; m++ {
+				q[m] = lo - 1 + m*n/5
+			}
+		} else {
+			for m := 1; m < 5; m++ {
+				q[m] = lo - 1 + m*step
+			}
+			step *= 2
+		}
+		f1, f2, f3, f4 := f.mixtureCDF4(tick, q[1], q[2], q[3], q[4])
+		m := 5
 		switch {
 		case f1 > p:
-			return lo + 1
+			m = 1
 		case f2 > p:
-			return lo + 2
+			m = 2
 		case f3 > p:
-			return lo + 3
+			m = 3
 		case f4 > p:
-			return lo + 4
+			m = 4
 		}
-		lo += 4
+		if m == 5 {
+			lo = q[4] + 1
+			continue
+		}
+		lo, hi, bracketed = q[m-1]+1, q[m], true
 	}
-	// Quinary search: four interior probes per pass split (lo, hi] five
-	// ways, maintaining F(lo) <= p < F at (or beyond) hi.
-	for hi-lo > 5 {
-		step := (hi - lo) / 5
-		m1 := lo + step
-		m2 := m1 + step
-		m3 := m2 + step
-		m4 := m3 + step
-		f1, f2, f3, f4 := f.mixtureCDF4(tick, m1, m2, m3, m4)
-		switch {
-		case f1 > p:
-			hi = m1
-		case f2 > p:
-			lo, hi = m1, m2
-		case f3 > p:
-			lo, hi = m2, m3
-		case f4 > p:
-			lo, hi = m3, m4
-		default:
-			lo = m4
-		}
+	// At most four candidates left: lo .. hi-1, padded with repeats.
+	if lo == hi {
+		return hi
 	}
-	for k := lo + 1; k < hi; k++ {
-		if f.mixtureCDF(tick, k) > p {
-			return k
-		}
+	k1, k2, k3, k4 := lo, min(lo+1, hi-1), min(lo+2, hi-1), min(lo+3, hi-1)
+	f1, f2, f3, f4 := f.mixtureCDF4(tick, k1, k2, k3, k4)
+	switch {
+	case f1 > p:
+		return k1
+	case f2 > p:
+		return k2
+	case f3 > p:
+		return k3
+	case f4 > p:
+		return k4
 	}
 	return hi
 }
 
-// mixtureCDF evaluates F(k) = Σ_j w_j · cdf[k][j] over the support window
-// only; bins outside it are exactly zero (and were skipped by the w != 0
-// guard before windowing existed, so the sum is bit-identical).
-func (f *DeliveryForecaster) mixtureCDF(tick, k int) float64 {
-	lo, hi := f.lo, f.hi
-	// Slice both operands to the support window so the indexed loop runs
-	// bounds-check-free; visit order and arithmetic are unchanged.
-	row := f.tbl.row(tick, k)[lo:hi]
-	cur := f.cur[lo:hi]
-	var s float64
-	for j, w := range cur {
-		if w != 0 {
-			s += w * row[j]
-		}
-	}
-	return s
+// rowAt returns row (tick, k) of the current mixture table, sliced to the
+// weights' support window.
+func (f *DeliveryForecaster) rowAt(tick, k int) []float64 {
+	base := f.tbl.off[tick] + k*f.tbl.bins
+	return f.rows[base+f.lo : base+f.hi]
 }
 
-// mixtureCDF4 evaluates F at four counts in one pass over the support
-// window: the four dot products share the posterior loads and accumulate
-// independently, so the pass costs roughly one latency-bound mixtureCDF
-// chain instead of four. Each sum receives the same terms in the same
-// order as mixtureCDF (whose zero-weight guard only ever skips exact +0
-// additions to a non-negative sum), so all four values are bit-identical
-// to four separate evaluations.
+// mixtureCDF4 evaluates the mixture CDF F(k) = Σ_j w_j · row[k][j] at
+// four counts in one pass over the weights' support window (bins outside
+// it are exactly zero). The four dot products share the weight loads and
+// accumulate independently, so the pass costs roughly one latency-bound
+// add chain instead of four; each sum is exactly what a separate
+// evaluation in the same bin order would produce.
 func (f *DeliveryForecaster) mixtureCDF4(tick, k1, k2, k3, k4 int) (float64, float64, float64, float64) {
-	lo, hi := f.lo, f.hi
-	r1 := f.tbl.row(tick, k1)[lo:hi]
-	r2 := f.tbl.row(tick, k2)[lo:hi]
-	r3 := f.tbl.row(tick, k3)[lo:hi]
-	r4 := f.tbl.row(tick, k4)[lo:hi]
-	cur := f.cur[lo:hi]
+	r1 := f.rowAt(tick, k1)
+	r2 := f.rowAt(tick, k2)
+	r3 := f.rowAt(tick, k3)
+	r4 := f.rowAt(tick, k4)
+	w := f.w[f.lo:f.hi]
 	var s1, s2, s3, s4 float64
-	for j, w := range cur {
-		s1 += w * r1[j]
-		s2 += w * r2[j]
-		s3 += w * r3[j]
-		s4 += w * r4[j]
+	for j, wj := range w {
+		s1 += wj * r1[j]
+		s2 += wj * r2[j]
+		s3 += wj * r3[j]
+		s4 += wj * r4[j]
 	}
 	return s1, s2, s3, s4
-}
-
-// --- fast mode (float32 mixture) ---
-
-// row32 returns the float32 CDF row at (tick, count k).
-func (f *DeliveryForecaster) row32(tick, k int) []float32 {
-	base := f.tbl.off[tick] + k*f.tbl.bins
-	return f.tblFlat32[base : base+f.tbl.bins]
-}
-
-// mixtureQuantileFrom32 is mixtureQuantileFrom over the float32 posterior
-// and table. F stays nondecreasing in k (float32 rounding is monotone),
-// so the warm-started shared walk remains exact for fast mode too — fast
-// results differ from exact ones only through the reduced precision of
-// the mixture values themselves.
-func (f *DeliveryForecaster) mixtureQuantileFrom32(tick int, p float64, lo0 int) int {
-	hi := f.tbl.maxK[tick]
-	if lo0 >= hi {
-		return lo0
-	}
-	if f.mixtureCDF32(tick, lo0) > p {
-		return lo0
-	}
-	lo := lo0
-	if lo+4 <= hi {
-		f1, f2, f3, f4 := f.mixtureCDF432(tick, lo+1, lo+2, lo+3, lo+4)
-		switch {
-		case f1 > p:
-			return lo + 1
-		case f2 > p:
-			return lo + 2
-		case f3 > p:
-			return lo + 3
-		case f4 > p:
-			return lo + 4
-		}
-		lo += 4
-	}
-	for hi-lo > 5 {
-		step := (hi - lo) / 5
-		m1 := lo + step
-		m2 := m1 + step
-		m3 := m2 + step
-		m4 := m3 + step
-		f1, f2, f3, f4 := f.mixtureCDF432(tick, m1, m2, m3, m4)
-		switch {
-		case f1 > p:
-			hi = m1
-		case f2 > p:
-			lo, hi = m1, m2
-		case f3 > p:
-			lo, hi = m2, m3
-		case f4 > p:
-			lo, hi = m3, m4
-		default:
-			lo = m4
-		}
-	}
-	for k := lo + 1; k < hi; k++ {
-		if f.mixtureCDF32(tick, k) > p {
-			return k
-		}
-	}
-	return hi
-}
-
-// scanHi32 bounds a fast-mode mixture scan: beyond row k's recorded end
-// the table holds exact zeros, so the dot product can stop there.
-func (f *DeliveryForecaster) scanHi32(tick, k int) int {
-	hi := f.hi
-	if end := int(f.tbl.rowEnd32[f.tbl.rowOff32[tick]+k]); end < hi {
-		hi = end
-	}
-	if hi < f.lo {
-		hi = f.lo
-	}
-	return hi
-}
-
-func (f *DeliveryForecaster) mixtureCDF32(tick, k int) float64 {
-	lo, hi := f.lo, f.scanHi32(tick, k)
-	row := f.row32(tick, k)[lo:hi]
-	cur := f.cur32[lo:hi]
-	var s float32
-	for j, w := range cur {
-		s += w * row[j]
-	}
-	return float64(s)
-}
-
-// mixtureCDF432 shares one scan across four probes. Callers pass
-// k1 < k2 < k3 < k4, and row ends are nondecreasing in k (the CDF is
-// pointwise nondecreasing in k), so k4's bound covers all four; the
-// shorter rows' overhang is exact zeros.
-func (f *DeliveryForecaster) mixtureCDF432(tick, k1, k2, k3, k4 int) (float64, float64, float64, float64) {
-	lo, hi := f.lo, f.scanHi32(tick, k4)
-	r1 := f.row32(tick, k1)[lo:hi]
-	r2 := f.row32(tick, k2)[lo:hi]
-	r3 := f.row32(tick, k3)[lo:hi]
-	r4 := f.row32(tick, k4)[lo:hi]
-	cur := f.cur32[lo:hi]
-	var s1, s2, s3, s4 float32
-	for j, w := range cur {
-		s1 += w * r1[j]
-		s2 += w * r2[j]
-		s3 += w * r3[j]
-		s4 += w * r4[j]
-	}
-	return float64(s1), float64(s2), float64(s3), float64(s4)
 }
 
 // EWMAForecaster is the Sprout-EWMA variant (§5.3): it tracks the observed

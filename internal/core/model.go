@@ -149,17 +149,11 @@ func (m *Model) Distribution(dst []float64) []float64 {
 
 // Evolve advances the posterior one tick of Brownian motion with the
 // outage-stickiness bias (§3.2 step 1). evolveWindow is shared with the
-// forecaster, which evolves a scratch copy.
+// forecast table's fold build and the forecaster's unfolded lookahead.
 func (m *Model) Evolve() {
 	m.lo, m.hi = evolveWindow(m.scratch, m.probs, m.kernel, m.kernelPad, m.radius, m.outageStay, m.lo, m.hi)
 	m.probs, m.scratch = m.scratch, m.probs
 	m.ticks++
-}
-
-// binFloat is the element type of the evolution and mixture arithmetic:
-// float64 on the exact path, float32 in the opt-in fast forecast mode.
-type binFloat interface {
-	~float32 | ~float64
 }
 
 // gatherLanes is how many destination bins one fused gather pass computes.
@@ -175,8 +169,8 @@ const gatherLanes = 8
 // source bin in the group's union window without an in-range branch. The
 // padding only ever contributes exact +0 terms, which leave the
 // non-negative lane sums bit-identical.
-func padKernel[F binFloat](kernel []F) []F {
-	pad := make([]F, len(kernel)+2*(gatherLanes-1))
+func padKernel(kernel []float64) []float64 {
+	pad := make([]float64, len(kernel)+2*(gatherLanes-1))
 	copy(pad[gatherLanes-1:], kernel)
 	return pad
 }
@@ -202,7 +196,7 @@ func padKernel[F binFloat](kernel []F) []F {
 // the scatter form (TestEvolveGatherMatchesScatter pins this). The two
 // boundary bins keep dedicated loops because their sums also fold in the
 // out-of-grid kernel tail, again in the scatter's ascending-offset order.
-func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outageStay F, lo, hi int) (int, int) {
+func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay float64, lo, hi int) (int, int) {
 	n := len(src)
 	// dst's support is src's support widened by one radius; any mass that
 	// would land below bin 1 folds into bin 0, so the window snaps to 0.
@@ -232,7 +226,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 		if jmax > hi-1 {
 			jmax = hi - 1
 		}
-		var d0 F
+		var d0 float64
 		for j := jlo; j <= jmax; j++ {
 			pj := src[j]
 			row := kernel[:radius-j+1]
@@ -263,7 +257,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 			j1 = hi - 1
 		}
 		base := k + radius + gatherLanes - 1
-		var a0, a1, a2, a3, a4, a5, a6, a7 F
+		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		j := j0
 		for ; j+1 <= j1; j += 2 {
 			pj := src[j]
@@ -312,7 +306,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 			j1 = hi - 1
 		}
 		base := k + radius
-		var acc F
+		var acc float64
 		for j := j0; j <= j1; j++ {
 			acc += src[j] * kernel[base-j]
 		}
@@ -326,7 +320,7 @@ func evolveWindow[F binFloat](dst, src, kernel, kernelPad []F, radius int, outag
 		if j0 < jlo {
 			j0 = jlo
 		}
-		var dn F
+		var dn float64
 		for j := j0; j < hi; j++ {
 			pj := src[j]
 			row := kernel[n-1-j+radius:]

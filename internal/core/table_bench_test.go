@@ -3,22 +3,36 @@ package core
 import "testing"
 
 // BenchmarkBuildForecastTable is the cold cost of the flattened CDF
-// table — paid once per process per parameter set, where it used to be
+// table F — paid once per process per parameter set, where it used to be
 // paid by every NewDeliveryForecaster.
 func BenchmarkBuildForecastTable(b *testing.B) {
 	p := DefaultParams()
 	m := NewModel(Params{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buildForecastTable(m.binRate, p.Tick.Seconds(), p.ForecastTicks, p.MaxRate)
+		buildCDFTable(m.binRate, p.Tick.Seconds(), p.ForecastTicks, p.MaxRate)
 	}
 }
 
-// BenchmarkMixtureQuantile isolates the flattened-table quantile scan that
+// BenchmarkBuildForecastFold is the cold cost of folding the lookahead
+// evolution into F (the G table), paid once per process per parameter set
+// on top of BenchmarkBuildForecastTable.
+func BenchmarkBuildForecastFold(b *testing.B) {
+	p := DefaultParams()
+	m := NewModel(Params{})
+	t := buildCDFTable(m.binRate, p.Tick.Seconds(), p.ForecastTicks, p.MaxRate)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		t.buildFold(m)
+	}
+}
+
+// BenchmarkMixtureQuantile isolates the folded-table quantile scan that
 // Forecast performs once per horizon tick.
 func BenchmarkMixtureQuantile(b *testing.B) {
 	f := trainedForecaster(b, 300, 12)
-	copy(f.cur, f.model.probs)
+	m := f.model
+	f.w, f.rows, f.lo, f.hi = m.probs, f.tbl.fold, m.lo, m.hi
 	p := 1 - DefaultConfidence
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

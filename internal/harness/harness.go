@@ -8,7 +8,6 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"sprout/internal/metrics"
@@ -104,12 +103,4 @@ func Run(cfg Config) (Result, error) {
 // downlink) or "up".
 func GenerateTracePair(pair trace.NetworkPair, direction string, d time.Duration, seed int64) (data, feedback *trace.Trace) {
 	return scenario.GenerateTracePair(pair, direction, d, seed)
-}
-
-// SortSchemesByDelay orders results by self-inflicted delay ascending
-// (used by table output).
-func SortSchemesByDelay(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		return rs[i].SelfInflicted95 < rs[j].SelfInflicted95
-	})
 }

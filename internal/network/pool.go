@@ -43,7 +43,7 @@ func (p *Pool) Get() *Packet {
 		slab := make([]byte, poolBlock*poolPayloadCap)
 		for i := range block {
 			lo := i * poolPayloadCap
-			block[i].Payload = slab[lo:lo : lo+poolPayloadCap]
+			block[i].Payload = slab[lo : lo : lo+poolPayloadCap]
 		}
 		p.blocks = append(p.blocks, block)
 	}

@@ -149,10 +149,6 @@ func normalQuantile(p float64) float64 {
 	return (lo + hi) / 2
 }
 
-// NormalCDF is the standard normal CDF, exported for the transition-kernel
-// construction (bin mass = Φ(b) − Φ(a)).
-func NormalCDF(x float64) float64 { return normalCDF(x) }
-
 // GaussianKernel returns the probability mass a Gaussian with the given
 // standard deviation assigns to each integer offset in [-radius, radius],
 // where offsets are measured in units of binWidth. Mass beyond the radius is

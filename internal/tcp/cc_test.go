@@ -209,8 +209,8 @@ func TestSenderIgnoresGarbage(t *testing.T) {
 		Conn: connFn(func(p *networkPacket) {}),
 	})
 	snd.Receive(&networkPacket{Payload: []byte{1, 2}}) // short
-	snd.Receive(dataPacket(nil, 1, 0, 1500, 0))             // wrong kind
-	snd.Receive(ackPacket(nil, 1, -1, 0))                   // stale ack
+	snd.Receive(dataPacket(nil, 1, 0, 1500, 0))        // wrong kind
+	snd.Receive(ackPacket(nil, 1, -1, 0))              // stale ack
 	if snd.InFlight() != 0 && snd.sndUna != 0 {
 		t.Errorf("garbage moved state: una=%d", snd.sndUna)
 	}

@@ -48,7 +48,7 @@ type ReceiverConfig struct {
 	// receiver reports itself and the coordinator later supplies the
 	// forecast through EmitFeedback. The cell world uses this to answer
 	// every co-scheduled flow's forecast from one core.ForecastBatch
-	// pass per tick.
+	// call per tick.
 	DeferFeedback func(*Receiver)
 }
 

@@ -88,14 +88,14 @@ const (
 func NewModel(p Params) *Model { return core.NewModel(p) }
 
 // NewDeliveryForecaster builds Sprout's forecaster over a model,
-// precomputing its Poisson tables.
+// precomputing its Poisson tables with the lookahead folded in.
 func NewDeliveryForecaster(m *Model) *DeliveryForecaster {
 	return core.NewDeliveryForecaster(m)
 }
 
-// ForecastBatch runs several forecasters' cautious forecasts with their
-// per-tick evolutions interleaved over the shared immutable Poisson table
-// — the cache-friendly entry point a co-scheduled fleet world consumes.
+// ForecastBatch appends several forecasters' cautious forecasts, each
+// exactly what its own Forecast appends — the entry point a co-scheduled
+// fleet world consumes.
 func ForecastBatch(dst []float64, fs []*DeliveryForecaster) []float64 {
 	return core.ForecastBatch(dst, fs)
 }
