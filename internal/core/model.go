@@ -37,8 +37,10 @@ type Model struct {
 
 	// [lo, hi) bounds the posterior's nonzero support: probs[j] == 0 for
 	// every j outside the window, always. Evolution widens the window by
-	// the kernel radius; observation tightens it to the surviving mass.
-	// The evolution and mixture-CDF inner loops scan only live bins.
+	// the kernel radius; observation tightens it to the surviving mass,
+	// which in practice only happens when exp underflows under counts far
+	// above MaxRate·τ, so a trained posterior spans the full grid (DESIGN
+	// §9). The evolution and mixture-CDF inner loops scan only live bins.
 	lo, hi int
 
 	ticks int64 // ticks processed (diagnostics)
@@ -156,24 +158,34 @@ func (m *Model) Evolve() {
 	m.ticks++
 }
 
-// gatherLanes is how many destination bins one fused gather pass computes.
-// The lane accumulators live in registers and share a single scan of the
-// source window, made branch-free by the zero-padded kernel. Eight lanes
-// matter because each lane is a serial float add chain: with fewer lanes
-// the pass is latency-bound on the accumulator adds rather than
-// throughput-bound, and the measured cost nearly doubles.
+// gatherLanes is how many destination bins one pass of the portable Go
+// gather (gatherGo) computes. The lane accumulators live in registers and
+// share a single scan of the source window, made branch-free by the
+// zero-padded kernel. Eight lanes matter because each lane is a serial
+// float add chain: with fewer lanes the pass is latency-bound on the
+// accumulator adds rather than throughput-bound, and the measured cost
+// nearly doubles.
 const gatherLanes = 8
 
-// padKernel returns kernel zero-padded by gatherLanes-1 entries on each
-// side, so lane m of a gather group can read kernelPad[base-j+m] for every
-// source bin in the group's union window without an in-range branch. The
-// padding only ever contributes exact +0 terms, which leave the
-// non-negative lane sums bit-identical.
+// gatherPad is the zero padding on each side of kernelPad: one less than
+// the widest gather group, the 16-lane assembly kernel (gather_amd64.s).
+const gatherPad = 15
+
+// padKernel returns kernel zero-padded by gatherPad entries on each side,
+// so lane m of a gather group of up to gatherPad+1 lanes can read
+// kernelPad[base-j+m] for every source bin in the group's union window
+// without an in-range branch. The padding only ever contributes exact +0
+// terms, which leave the non-negative lane sums bit-identical.
 func padKernel(kernel []float64) []float64 {
-	pad := make([]float64, len(kernel)+2*(gatherLanes-1))
-	copy(pad[gatherLanes-1:], kernel)
+	pad := make([]float64, len(kernel)+2*gatherPad)
+	copy(pad[gatherPad:], kernel)
 	return pad
 }
+
+// gatherFunc computes the interior destinations dst[kLo:kHi] of one
+// evolution step: dst[k] = Σ src[j]·kernel[k-j+radius] over the source
+// bins j in [max(k-radius, jlo), min(k+radius, hi-1)], ascending.
+type gatherFunc func(dst, src, kernelPad []float64, radius, jlo, hi, kLo, kHi int)
 
 // evolveWindow computes one evolution step from src into dst. dst and src
 // must be distinct slices of equal length. Probability mass diffusing below
@@ -187,15 +199,30 @@ func padKernel(kernel []float64) []float64 {
 // The pass is a gather: each destination bin's convolution sum accumulates
 // in a register and is stored exactly once, instead of the classic scatter
 // that read-modify-writes every bin under the kernel once per source bin.
-// Interior destinations are computed gatherLanes at a time against the
-// zero-padded kernel, so one scan of the shared source window feeds four
-// independent register accumulators. Every destination still receives its
-// terms in ascending source-bin order — exactly the order the scatter
-// produced — and the only extra terms are the padding's exact zeros added
-// to non-negative sums, so every floating-point result is bit-identical to
-// the scatter form (TestEvolveGatherMatchesScatter pins this). The two
-// boundary bins keep dedicated loops because their sums also fold in the
-// out-of-grid kernel tail, again in the scatter's ascending-offset order.
+// Interior destinations go to gatherInterior, chosen once at package init:
+// the 16-lane AVX2 kernel where the CPU has it (gather_amd64.go), else the
+// 8-lane Go gather (gatherGo). Both compute a group of adjacent
+// destinations against the zero-padded kernel, so one scan of the group's
+// shared source window feeds one independent accumulator per lane. Every
+// destination still receives its terms in ascending source-bin order —
+// exactly the order the scatter produced — and the only extra terms are
+// the padding's exact zeros added to non-negative sums, so every
+// floating-point result is bit-identical to the scatter form
+// (TestEvolveGatherMatchesScatter pins this for each kernel).
+//
+// The rounding argument for the assembly kernel: each of its 64-bit lanes
+// performs, term by term, the same two IEEE-754 operations as the Go
+// gather — a multiply rounded to double, then an add rounded to double —
+// on the same operands in the same order, so each lane ends on the same
+// bits. It must never use a fused multiply-add (VFMADD*), which rounds
+// once per term instead of twice and so changes the last bits of a sum.
+// A lane's value also does not depend on which group computed it: any
+// source bin outside its kernel reach meets the zero padding and adds an
+// exact +0, so the overlapping last group recomputes lanes unchanged.
+//
+// The two boundary bins keep dedicated loops because their sums also fold
+// in the out-of-grid kernel tail, again in the scatter's ascending-offset
+// order.
 func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay float64, lo, hi int) (int, int) {
 	n := len(src)
 	// dst's support is src's support widened by one radius; any mass that
@@ -237,7 +264,7 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		dst[0] = d0
 	}
 
-	// Interior bins: pure convolution, four register lanes at a time.
+	// Interior bins: pure convolution, a lane group at a time.
 	kLo := newLo
 	if kLo < 1 {
 		kLo = 1
@@ -246,6 +273,55 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 	if kHi > n-1 {
 		kHi = n - 1
 	}
+	gatherInterior(dst, src, kernelPad, radius, jlo, hi, kLo, kHi)
+
+	// Top bin: its direct kernel term plus the folded above-grid tail
+	// (offsets >= n-1-j, ascending), from every source bin within reach.
+	if newHi == n {
+		j0 := n - 1 - radius
+		if j0 < jlo {
+			j0 = jlo
+		}
+		var dn float64
+		for j := j0; j < hi; j++ {
+			pj := src[j]
+			row := kernel[n-1-j+radius:]
+			for _, w := range row {
+				dn += pj * w
+			}
+		}
+		dst[n-1] = dn
+	}
+
+	// Bin 0: sticky outage. Stay with probability outageStay; otherwise
+	// escape by diffusing from 0 (half of that kernel folds back into 0,
+	// making outages even stickier, as observed on real links).
+	p0 := src[0]
+	if p0 > 0 {
+		dst[0] += p0 * outageStay
+		esc := p0 * (1 - outageStay)
+		for k := -radius; k <= radius; k++ {
+			w := kernel[k+radius]
+			if k <= 0 {
+				dst[0] += esc * w
+			} else if k < n {
+				dst[k] += esc * w
+			} else {
+				dst[n-1] += esc * w
+			}
+		}
+	}
+	return newLo, newHi
+}
+
+// gatherGo is the portable interior gather (a gatherFunc): gatherLanes
+// destinations per pass in register accumulators, each group scanning its
+// union source window [k-radius, k+gatherLanes-1+radius] once, unrolled
+// 2× over source bins to amortize the slice bounds checks; the last
+// kHi-kLo mod gatherLanes bins take a scalar loop. It runs on CPUs and
+// architectures without the assembly kernel, and it is that kernel's
+// test oracle.
+func gatherGo(dst, src, kernelPad []float64, radius, jlo, hi, kLo, kHi int) {
 	k := kLo
 	for ; k+gatherLanes-1 < kHi; k += gatherLanes {
 		j0 := k - radius
@@ -256,7 +332,7 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		if j1 > hi-1 {
 			j1 = hi - 1
 		}
-		base := k + radius + gatherLanes - 1
+		base := k + radius + gatherPad
 		var a0, a1, a2, a3, a4, a5, a6, a7 float64
 		j := j0
 		for ; j+1 <= j1; j += 2 {
@@ -305,51 +381,13 @@ func evolveWindow(dst, src, kernel, kernelPad []float64, radius int, outageStay 
 		if j1 > hi-1 {
 			j1 = hi - 1
 		}
-		base := k + radius
+		base := k + radius + gatherPad
 		var acc float64
 		for j := j0; j <= j1; j++ {
-			acc += src[j] * kernel[base-j]
+			acc += src[j] * kernelPad[base-j]
 		}
 		dst[k] = acc
 	}
-
-	// Top bin: its direct kernel term plus the folded above-grid tail
-	// (offsets >= n-1-j, ascending), from every source bin within reach.
-	if newHi == n {
-		j0 := n - 1 - radius
-		if j0 < jlo {
-			j0 = jlo
-		}
-		var dn float64
-		for j := j0; j < hi; j++ {
-			pj := src[j]
-			row := kernel[n-1-j+radius:]
-			for _, w := range row {
-				dn += pj * w
-			}
-		}
-		dst[n-1] = dn
-	}
-
-	// Bin 0: sticky outage. Stay with probability outageStay; otherwise
-	// escape by diffusing from 0 (half of that kernel folds back into 0,
-	// making outages even stickier, as observed on real links).
-	p0 := src[0]
-	if p0 > 0 {
-		dst[0] += p0 * outageStay
-		esc := p0 * (1 - outageStay)
-		for k := -radius; k <= radius; k++ {
-			w := kernel[k+radius]
-			if k <= 0 {
-				dst[0] += esc * w
-			} else if k < n {
-				dst[k] += esc * w
-			} else {
-				dst[n-1] += esc * w
-			}
-		}
-	}
-	return newLo, newHi
 }
 
 // Observe multiplies in the Poisson likelihood of seeing `packets`

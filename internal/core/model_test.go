@@ -281,3 +281,19 @@ func BenchmarkModelEvolve(b *testing.B) {
 		m.Evolve()
 	}
 }
+
+// BenchmarkEvolveKernel times each interior kernel this machine runs on
+// the uniform 256-bin prior: the full-grid interior (bins 1..254) that
+// every steady-state Evolve computes, without the boundary bins.
+func BenchmarkEvolveKernel(b *testing.B) {
+	m := NewModel(Params{})
+	n := m.NumBins()
+	dst := make([]float64, n)
+	for _, k := range gatherKernels(b) {
+		b.Run(k.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				k.fn(dst, m.probs, m.kernelPad, m.radius, 1, n, 1, n-1)
+			}
+		})
+	}
+}

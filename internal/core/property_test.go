@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -271,59 +272,194 @@ func scatterEvolveReference(dst, src, kernel []float64, radius int, outageStay f
 	return newLo, newHi
 }
 
+// namedGather is one interior kernel under test.
+type namedGather struct {
+	name string
+	fn   gatherFunc
+}
+
+// gatherKernels returns the interior kernels this machine can run: the
+// portable Go gather always, the assembly kernel where the CPU has one.
+func gatherKernels(t testing.TB) []namedGather {
+	kernels := []namedGather{{"go", gatherGo}}
+	if asmGather != nil {
+		kernels = append(kernels, namedGather{"asm", asmGather})
+	} else {
+		t.Log("no assembly gather kernel on this machine; checking the Go gather only")
+	}
+	return kernels
+}
+
+// forEachGather runs fn once per interior kernel, with evolveWindow's
+// package-level dispatch swapped to that kernel, and restores it after.
+func forEachGather(t *testing.T, fn func(t *testing.T)) {
+	saved := gatherInterior
+	defer func() { gatherInterior = saved }()
+	for _, k := range gatherKernels(t) {
+		gatherInterior = k.fn
+		t.Run(k.name, fn)
+	}
+}
+
+// evolveMatchesScatter evolves src over [lo, hi) with evolveWindow and
+// with the scatter reference, and reports the first difference: window
+// bounds, or any bin not == bit for bit.
+func evolveMatchesScatter(m *Model, src []float64, lo, hi int) error {
+	n := len(src)
+	want := make([]float64, n)
+	wLo, wHi := scatterEvolveReference(want, src, m.kernel, m.radius, m.outageStay, lo, hi)
+	got := make([]float64, n)
+	gLo, gHi := evolveWindow(got, src, m.kernel, m.kernelPad, m.radius, m.outageStay, lo, hi)
+	if gLo != wLo || gHi != wHi {
+		return fmt.Errorf("window mismatch: got [%d,%d) want [%d,%d)", gLo, gHi, wLo, wHi)
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("bin %d: got %x want %x (n=%d radius=%d lo=%d hi=%d)",
+				i, got[i], want[i], n, m.radius, lo, hi)
+		}
+	}
+	return nil
+}
+
 // TestEvolveGatherMatchesScatter pins the gather rewrite to the scatter
-// reference bit for bit, across bin counts (including n < 2·radius, where
-// both edge folds overlap), kernel radii, support windows and sparse
-// posteriors. Equality here is ==, not a tolerance: the golden hashes of
-// every figure depend on it.
+// reference bit for bit, for every interior kernel this machine runs,
+// across bin counts (including n < 2·radius, where both edge folds
+// overlap), kernel radii, support windows and sparse posteriors. Equality
+// here is ==, not a tolerance: the golden hashes of every figure depend
+// on it.
 func TestEvolveGatherMatchesScatter(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
 	models := []*Model{
 		NewModel(Params{}),
 		NewModel(Params{NumBins: 64, MaxRate: 250}),
 		NewModel(Params{NumBins: 33, MaxRate: 100, Sigma: 700}), // radius > n/2
 		NewModel(Params{NumBins: 128, Sigma: 23}),
 	}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := models[rng.Intn(len(models))]
-		n := m.NumBins()
-		src := make([]float64, n)
-		// Random support window; fill it with a mix of zero and nonzero
-		// mass (interior zeros exercise the scatter's skip guard).
-		lo := rng.Intn(n)
-		hi := lo + 1 + rng.Intn(n-lo)
-		var sum float64
-		for j := lo; j < hi; j++ {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			src[j] = rng.Float64()
-			sum += src[j]
-		}
-		if sum > 0 {
+	forEachGather(t, func(t *testing.T) {
+		cfg := &quick.Config{MaxCount: 200, Rand: rand.New(rand.NewSource(5))}
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			m := models[rng.Intn(len(models))]
+			n := m.NumBins()
+			src := make([]float64, n)
+			// Random support window; fill it with a mix of zero and
+			// nonzero mass (interior zeros exercise the scatter's skip
+			// guard).
+			lo := rng.Intn(n)
+			hi := lo + 1 + rng.Intn(n-lo)
+			var sum float64
 			for j := lo; j < hi; j++ {
-				src[j] /= sum
+				if rng.Intn(3) == 0 {
+					continue
+				}
+				src[j] = rng.Float64()
+				sum += src[j]
 			}
-		}
-		want := make([]float64, n)
-		wLo, wHi := scatterEvolveReference(want, src, m.kernel, m.radius, m.outageStay, lo, hi)
-		got := make([]float64, n)
-		gLo, gHi := evolveWindow(got, src, m.kernel, m.kernelPad, m.radius, m.outageStay, lo, hi)
-		if gLo != wLo || gHi != wHi {
-			t.Logf("window mismatch: got [%d,%d) want [%d,%d)", gLo, gHi, wLo, wHi)
-			return false
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Logf("bin %d: got %x want %x (n=%d radius=%d lo=%d hi=%d)",
-					i, got[i], want[i], n, m.radius, lo, hi)
+			if sum > 0 {
+				for j := lo; j < hi; j++ {
+					src[j] /= sum
+				}
+			}
+			if err := evolveMatchesScatter(m, src, lo, hi); err != nil {
+				t.Log(err)
 				return false
 			}
+			return true
 		}
-		return true
+		if err := quick.Check(f, cfg); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
+// TestEvolveKernelsAtGroupEdges checks each interior kernel against the
+// scatter reference at the interior widths kHi−kLo where the assembly
+// kernel's grouping changes shape — one short of a 16-lane group, exactly
+// one, one over (an overlapping last group), the same around two groups,
+// and the full 256-bin grid — plus the radius > n/2 model, and a
+// full-width posterior trained at 0.12 packets per tick evolved step by
+// step.
+func TestEvolveKernelsAtGroupEdges(t *testing.T) {
+	models := []*Model{
+		NewModel(Params{}),                                      // radius 30
+		NewModel(Params{Sigma: 40}),                             // radius 7
+		NewModel(Params{NumBins: 128, Sigma: 23}),               // radius 3
+		NewModel(Params{NumBins: 33, MaxRate: 100, Sigma: 700}), // radius > n/2
 	}
-	if err := quick.Check(f, cfg); err != nil {
-		t.Error(err)
+	trained := NewModel(Params{})
+	for i := 0; i < 500; i++ {
+		trained.Tick(0.12)
 	}
+	if trained.lo != 0 || trained.hi != trained.NumBins() {
+		t.Fatalf("trained posterior window [%d,%d), want the full grid", trained.lo, trained.hi)
+	}
+
+	forEachGather(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		for _, width := range []int{15, 16, 17, 31, 32, 33, 254} {
+			covered := false
+			for _, m := range models {
+				lo, hi, ok := windowForInteriorWidth(m, width)
+				if !ok {
+					continue
+				}
+				covered = true
+				src := make([]float64, m.NumBins())
+				for j := lo; j < hi; j++ {
+					src[j] = rng.Float64()
+				}
+				if err := evolveMatchesScatter(m, src, lo, hi); err != nil {
+					t.Errorf("interior width %d, radius %d: %v", width, m.radius, err)
+				}
+			}
+			if !covered {
+				t.Errorf("no test model yields interior width %d", width)
+			}
+		}
+		for _, m := range models {
+			if 2*m.radius > m.NumBins() {
+				for lo := 0; lo < m.NumBins(); lo += 4 {
+					src := make([]float64, m.NumBins())
+					for j := lo; j < m.NumBins(); j++ {
+						src[j] = rng.Float64()
+					}
+					if err := evolveMatchesScatter(m, src, lo, m.NumBins()); err != nil {
+						t.Errorf("radius %d > n/2: %v", m.radius, err)
+					}
+				}
+			}
+		}
+		m := trained.Clone()
+		for i := 0; i < 200; i++ {
+			if err := evolveMatchesScatter(m, m.probs, m.lo, m.hi); err != nil {
+				t.Fatalf("trained posterior, tick %d: %v", i, err)
+			}
+			m.Tick(0.12)
+		}
+	})
+}
+
+// windowForInteriorWidth returns a source support window [lo, hi) whose
+// evolution has interior width kHi−kLo == width under model m, or false
+// if the model's radius and bin count cannot produce that width.
+func windowForInteriorWidth(m *Model, width int) (lo, hi int, ok bool) {
+	n, r := m.NumBins(), m.radius
+	switch {
+	case width == n-2 && n > 2:
+		lo, hi = 0, n // the full grid: kLo = 1, kHi = n-1
+	case width >= 2*r+1 && width+2 <= n:
+		// Mid-grid: kLo = lo−r, kHi = hi+r, both clear of the edges.
+		lo = 1 + r
+		hi = lo + width - 2*r
+	default:
+		return 0, 0, false
+	}
+	kLo, kHi := lo-r, hi+r
+	if kLo < 1 {
+		kLo = 1
+	}
+	if kHi > n-1 {
+		kHi = n - 1
+	}
+	return lo, hi, kHi-kLo == width
 }

@@ -2,22 +2,26 @@
 # bench.sh — run the perf-tracking benchmarks and emit BENCH_<PR>.json.
 #
 # Usage:
-#   scripts/bench.sh              # writes BENCH_12.json in the repo root
+#   scripts/bench.sh              # writes BENCH_13.json in the repo root
 #   scripts/bench.sh out.json     # custom output path
 #   BENCHTIME=200ms scripts/bench.sh   # quick smoke (CI uses this)
 #
 # The JSON records ns/op and allocs/op for the tracked hot paths — the
 # Bayesian filter tick, the cautious forecast (read against the folded
 # lookahead table), the §5.5 confidence sweep, the 16-flow batch
-# forecast, the cold build of the folded table, the event loop
+# forecast, the cold build of the folded table, one posterior evolution
+# step (Model.Evolve) and its interior gather kernel alone, once per
+# kernel this CPU runs (BenchmarkEvolveKernel/go and /asm, so the
+# assembly kernel's margin over the Go gather shows on every run), the
+# event loop
 # (fresh-timer and reused-timer patterns) — plus the macro-benchmarks:
 # the reduced scheme×link matrix on materialized traces, the same grid
 # driven by streaming delivery processes, the grid decomposed over two
 # in-process shards, and the shared-cell world (one tower's delivery
 # process apportioned over 16/256/1024 backlogged flows by the
 # proportional-fair scheduler). The "baseline" block holds the numbers
-# of the tree before the lookahead fold, measured on the same machine,
-# so the perf trajectory stays auditable across changes.
+# of the tree before the AVX2 evolution kernel, measured on the same
+# machine, so the perf trajectory stays auditable across changes.
 #
 # Every benchmark runs with -cpu 1, whatever GOMAXPROCS the environment
 # sets. The engine sizes its worker pool from GOMAXPROCS and every worker
@@ -38,7 +42,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT=${1:-BENCH_12.json}
+OUT=${1:-BENCH_13.json}
 BENCHTIME=${BENCHTIME:-1s}
 MATRIX_BENCHTIME=${MATRIX_BENCHTIME:-1x}
 # allocs/op recorded at -cpu 1 (deterministic at -benchtime 1x; the
@@ -59,7 +63,7 @@ trap 'rm -f "$TMP"' EXIT
 echo "bench: micro (benchtime $BENCHTIME)..." >&2
 go test -run '^$' -cpu 1 -bench 'BenchmarkCoreTick$|BenchmarkCoreForecast$|BenchmarkForecastSweep$|BenchmarkForecastBatch$' \
     -benchmem -benchtime "$BENCHTIME" . | tee -a "$TMP" >&2
-go test -run '^$' -cpu 1 -bench 'BenchmarkBuildForecastFold$' \
+go test -run '^$' -cpu 1 -bench 'BenchmarkBuildForecastFold$|BenchmarkModelEvolve$|BenchmarkEvolveKernel$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/core/ | tee -a "$TMP" >&2
 go test -run '^$' -cpu 1 -bench 'BenchmarkLoopThroughput$|BenchmarkLoopTimerReuse$' \
     -benchmem -benchtime "$BENCHTIME" ./internal/sim/ | tee -a "$TMP" >&2
@@ -80,19 +84,22 @@ awk -v out="$OUT" -v mguard="$MATRIX_ALLOCS_RECORDED" -v sguard="$STREAMING_ALLO
 }
 END {
     printf "{\n"
-    printf "  \"pr\": 12,\n"
-    printf "  \"description\": \"lookahead folded into the forecast table: the 8-tick observation-free evolution is a fixed linear operator, so it is precomputed once per parameter set as G_i = (T^(i+1))^T F_i and a forecast reads the un-evolved posterior against G; float32 fast mode deleted; ForecastBatch is a plain loop; every benchmark pinned to -cpu 1\",\n"
+    printf "  \"pr\": 13,\n"
+    printf "  \"description\": \"AVX2 kernel for the interior of the posterior evolution step under Model.Evolve: 16 destination bins per call in four YMM accumulators, separate VMULPD and VADDPD (no FMA), every lane summed in ascending source-bin order, so results stay bit-identical to the 8-lane Go gather, which remains the fallback and the test oracle; chosen once at package init from CPUID and XGETBV\",\n"
     printf "  \"baseline\": {\n"
-    printf "    \"comment\": \"the tree before the fold, measured at -cpu 1 on the same 2-vCPU VM (which drifts ~2x between fast and slow spells: CoreForecast read 75-108 us over several runs); the folded-table build did not exist\",\n"
-    printf "    \"BenchmarkCoreTick\": {\"ns_per_op\": 25880, \"allocs_per_op\": 0},\n"
-    printf "    \"BenchmarkCoreForecast\": {\"ns_per_op\": 75430, \"allocs_per_op\": 0},\n"
-    printf "    \"BenchmarkForecastSweep\": {\"ns_per_op\": 142036, \"allocs_per_op\": 0},\n"
-    printf "    \"BenchmarkForecastBatch\": {\"ns_per_op\": 1141399, \"allocs_per_op\": 0},\n"
-    printf "    \"BenchmarkLoopThroughput\": {\"ns_per_op\": 13.02, \"allocs_per_op\": 0},\n"
-    printf "    \"BenchmarkLoopTimerReuse\": {\"ns_per_op\": 15.81, \"allocs_per_op\": 0},\n"
-    printf "    \"BenchmarkMatrixParallel\": {\"ns_per_op\": 1098011830, \"allocs_per_op\": 3526},\n"
-    printf "    \"BenchmarkStreamingMatrix\": {\"ns_per_op\": 540477908, \"allocs_per_op\": 1585},\n"
-    printf "    \"BenchmarkShardedMatrix\": {\"ns_per_op\": 961094036, \"allocs_per_op\": 2962}\n"
+    printf "    \"comment\": \"the parent tree (folded lookahead table, 8-lane Go gather only), scripts/bench.sh plus BenchmarkModelEvolve at -cpu 1 on the same 2-vCPU VM, measured in a slow spell (the host drifts ~2x); BenchmarkEvolveKernel did not exist, and its /go case runs the interior loop of the parent unchanged\",\n"
+    printf "    \"BenchmarkModelEvolve\": {\"ns_per_op\": 15081, \"allocs_per_op\": 0},\n"
+    printf "    \"BenchmarkBuildForecastFold\": {\"ns_per_op\": 53155816, \"allocs_per_op\": 3},\n"
+    printf "    \"BenchmarkCoreTick\": {\"ns_per_op\": 24988, \"allocs_per_op\": 0},\n"
+    printf "    \"BenchmarkCoreForecast\": {\"ns_per_op\": 5757, \"allocs_per_op\": 0},\n"
+    printf "    \"BenchmarkForecastSweep\": {\"ns_per_op\": 54893, \"allocs_per_op\": 0},\n"
+    printf "    \"BenchmarkForecastBatch\": {\"ns_per_op\": 132035, \"allocs_per_op\": 0},\n"
+    printf "    \"BenchmarkLoopThroughput\": {\"ns_per_op\": 23.94, \"allocs_per_op\": 0},\n"
+    printf "    \"BenchmarkLoopTimerReuse\": {\"ns_per_op\": 28.15, \"allocs_per_op\": 0},\n"
+    printf "    \"BenchmarkMatrixParallel\": {\"ns_per_op\": 529451522, \"allocs_per_op\": 3528},\n"
+    printf "    \"BenchmarkStreamingMatrix\": {\"ns_per_op\": 251020526, \"allocs_per_op\": 1583},\n"
+    printf "    \"BenchmarkShardedMatrix\": {\"ns_per_op\": 462224024, \"allocs_per_op\": 2964},\n"
+    printf "    \"BenchmarkCellWorld/1024\": {\"ns_per_op\": 316061, \"allocs_per_op\": 0}\n"
     printf "  },\n"
     printf "  \"guard\": {\n"
     printf "    \"comment\": \"bench-smoke fails if a guarded allocs/op regresses >20%% over its recorded value; the forecast hot path and the 1024-flow cell steady state are pinned at zero\",\n"
