@@ -285,7 +285,6 @@ func DeriveSeed(base int64, parts ...string) int64 {
 type Cache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry
-	limit   int // 0 = unbounded
 	hits    int
 	misses  int
 }
@@ -298,35 +297,18 @@ type cacheEntry struct {
 	done atomic.Bool // set after gen completes; gates Range visibility
 }
 
-// NewCache returns an empty, unbounded cache.
+// NewCache returns an empty cache.
 func NewCache() *Cache { return &Cache{entries: map[string]*cacheEntry{}} }
-
-// NewCacheLimit returns a cache holding at most limit entries (limit <= 0
-// means unbounded). Like the forecast-table cache in internal/core
-// (tableCacheLimit), the bound stops admission rather than evicting: once
-// full, Gets for new keys run gen directly and retain nothing, so a
-// long-lived cache swept across unbounded key spaces (an arbitrary-spec
-// scenario server) degrades to per-call generation instead of unbounded
-// retained memory. Uncached keys lose the single-flight guarantee —
-// concurrent Gets for the same new key may each run gen.
-func NewCacheLimit(limit int) *Cache {
-	c := NewCache()
-	c.limit = limit
-	return c
-}
 
 // Get returns the cached value for key, running gen to produce it if
 // this is the first request. gen runs outside the cache lock, so slow
-// generations for different keys proceed in parallel.
+// generations for different keys proceed in parallel. A hit on a key and
+// generator built ahead of time allocates nothing.
 func (c *Cache) Get(key string, gen func() any) any {
 	c.mu.Lock()
 	e, ok := c.entries[key]
 	if !ok {
 		c.misses++
-		if c.limit > 0 && len(c.entries) >= c.limit {
-			c.mu.Unlock()
-			return gen() // full: serve uncached (see NewCacheLimit)
-		}
 		e = &cacheEntry{key: key}
 		c.entries[key] = e
 	} else {
@@ -334,22 +316,6 @@ func (c *Cache) Get(key string, gen func() any) any {
 	}
 	c.mu.Unlock()
 	return c.wait(e, gen)
-}
-
-// GetBytes is Get with the key passed as bytes: the lookup converts in
-// place (no allocation on the hit path), and only a miss materializes the
-// string and falls through to Get, so the admission bookkeeping lives in
-// one place. Hot per-job lookups build their key into a reused buffer and
-// stay allocation-free once the cache is warm.
-func (c *Cache) GetBytes(key []byte, gen func() any) any {
-	c.mu.Lock()
-	if e, ok := c.entries[string(key)]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return c.wait(e, gen)
-	}
-	c.mu.Unlock()
-	return c.Get(string(key), gen)
 }
 
 func (c *Cache) wait(e *cacheEntry, gen func() any) any {
@@ -383,23 +349,12 @@ func (c *Cache) Range(fn func(key string, val any)) {
 	}
 }
 
-// NoteHit records an externally served hit: a caller that keeps its own
-// worker-local memo of values originally produced by this cache calls it
-// so Counts still reflects every request served without generation.
-func (c *Cache) NoteHit() {
-	c.mu.Lock()
-	c.hits++
-	c.mu.Unlock()
-}
-
 // Counts reports cache traffic: misses is how many Gets had to generate
-// (distinct keys on an unbounded cache; keys refused by the entry bound
-// count on every request, since each one regenerates), hits how many Gets
-// were served from an existing entry. The counts are advisory only:
-// they are read under the cache lock, but a Get that is concurrently past
-// its bookkeeping and still generating is already counted, so Counts taken
-// while jobs are in flight can disagree with the number of values actually
-// handed out. Read it for diagnostics after Run returns, not for
+// (one per distinct key), hits how many Gets were served from an existing
+// entry. The counts are advisory only: they are read under the cache
+// lock, but a Get that is concurrently past its bookkeeping and still
+// generating is already counted, so Counts taken while jobs are in flight
+// can disagree with the number of values actually handed out. Read it for diagnostics after Run returns, not for
 // synchronization.
 func (c *Cache) Counts() (hits, misses int) {
 	c.mu.Lock()

@@ -175,3 +175,76 @@ func TestMatrixGoldenHash(t *testing.T) {
 		}
 	}
 }
+
+// goldenFiguresHash pins the bit-exact outputs of the figure and table
+// builders that no other golden hash reaches: Fig1's timeseries, the
+// Fig9 confidence sweep, the §5.6 loss table, the §5.7 tunnel comparison
+// and the multi-Sprout sharing experiment. Recorded while those builders
+// still injected GenerateTracePair traces into their specs, so it also
+// proves that canonical Link specs bound to the shared trace cache run on
+// the very same bytes.
+const goldenFiguresHash = "b20c8dfe6d5dc77281092e6e7f94e8e8054ee53b5c1e924dade56d3b4b0b64cb"
+
+// hashFigures runs the five builders and serializes every number they
+// return bit-exactly.
+func hashFigures(t *testing.T, opt Options) string {
+	t.Helper()
+	var b strings.Builder
+	f64 := func(v float64) string { return fmt.Sprintf("%016x", math.Float64bits(v)) }
+
+	fig1, err := Fig1(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range fig1 {
+		fmt.Fprintf(&b, "fig1|%d|%s|%s|%s|%s|%s\n", p.Second, f64(p.CapacityKbps),
+			f64(p.SproutKbps), f64(p.SkypeKbps), f64(p.SproutDelayMs), f64(p.SkypeDelayMs))
+	}
+	fig9, err := Fig9(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range fig9 {
+		fmt.Fprintf(&b, "fig9|%s|%s|%s|%s|%s\n", c.Scheme, f64(c.ThroughputKbps),
+			f64(c.SelfInflictedMs), f64(c.Utilization), f64(c.MeanDelayMs))
+	}
+	loss, err := LossTable(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range loss {
+		fmt.Fprintf(&b, "loss|%s|%d|%s|%s\n", r.Direction, r.LossPct, f64(r.ThroughputKbps), f64(r.SelfInflictedMs))
+	}
+	tun, err := RunTunnelComparison(opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fmt.Fprintf(&b, "tunnel|%s|%s|%s|%s|%d|%d|%d\n", f64(tun.CubicKbpsDirect), f64(tun.CubicKbpsTunnel),
+		f64(tun.SkypeKbpsDirect), f64(tun.SkypeKbpsTunnel), tun.SkypeDelay95Direct, tun.SkypeDelay95Tunnel,
+		tun.TunnelHeadDrops)
+	multi, err := RunMultiSprout(opt, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range multi.PerFlowKbps {
+		fmt.Fprintf(&b, "multi|flow|%s\n", f64(k))
+	}
+	fmt.Fprintf(&b, "multi|%s|%s|%d|%s|%d\n", f64(multi.JainIndex), f64(multi.AggregateKbps),
+		multi.Delay95, f64(multi.SoloKbps), multi.SoloDelay95)
+
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// TestFiguresGoldenHash asserts Fig1, Fig9, LossTable,
+// RunTunnelComparison and RunMultiSprout produce byte-identical outputs to
+// the recorded baseline at serial and parallel worker counts.
+func TestFiguresGoldenHash(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		opt := Options{Duration: 15 * time.Second, Skip: 4 * time.Second, Seed: 7, Workers: workers}
+		if got := hashFigures(t, opt); got != goldenFiguresHash {
+			t.Errorf("workers=%d: figures hash = %s, want %s (figure outputs drifted from the recorded baseline)",
+				workers, got, goldenFiguresHash)
+		}
+	}
+}

@@ -37,15 +37,12 @@ func RunMultiSprout(opt Options, n int) (MultiSproutResult, error) {
 	if n < 1 {
 		n = 2
 	}
-	pair := trace.CanonicalNetworks()[0]
-	data, fb := GenerateTracePair(pair, "down", opt.Duration, opt.Seed)
-
 	mkSpec := func(name string, flows int) scenario.Spec {
 		spec := opt.baseSpec()
 		spec.Name = name
 		spec.Scheme = "sprout"
 		spec.Flows = flows
-		spec.DataTrace, spec.FeedbackTrace = data, fb
+		spec.Link = trace.CanonicalNetworks()[0].Name
 		return spec
 	}
 	results, _, err := runSpecs(opt, []scenario.Spec{mkSpec("solo", 1), mkSpec("shared", n)}, nil)

@@ -319,18 +319,21 @@ func (m *Matrix) Fig8(schemes []string) []Fig8Row {
 // parallel over one shared trace pair.
 func Fig9(opt Options) ([]Cell, error) {
 	opt = opt.withDefaults()
-	var pair trace.NetworkPair
+	var network string
 	for _, p := range trace.CanonicalNetworks() {
 		if strings.HasPrefix(p.Name, "T-Mobile") {
-			pair = p
+			network = p.Name
 		}
 	}
-	data, fb := GenerateTracePair(pair, "up", opt.Duration, opt.Seed)
-	sweep := opt.baseSpec()
-	sweep.Name = "sprout"
-	sweep.Scheme = "sprout"
+	onUplink := func(name, scheme string) scenario.Spec {
+		spec := opt.baseSpec()
+		spec.Name = name
+		spec.Scheme = scheme
+		spec.Link, spec.Direction = network, "up"
+		return spec
+	}
+	sweep := onUplink("sprout", "sprout")
 	sweep.Confidences = []float64{0.95, 0.75, 0.50, 0.25, 0.05}
-	sweep.DataTrace, sweep.FeedbackTrace = data, fb
 	specs, err := sweep.Sweep()
 	if err != nil {
 		return nil, err
@@ -339,11 +342,7 @@ func Fig9(opt Options) ([]Cell, error) {
 		if s == "sprout" {
 			continue
 		}
-		spec := opt.baseSpec()
-		spec.Name = s
-		spec.Scheme = s
-		spec.DataTrace, spec.FeedbackTrace = data, fb
-		specs = append(specs, spec)
+		specs = append(specs, onUplink(s, s))
 	}
 	results, _, err := runSpecs(opt, specs, nil)
 	if err != nil {
@@ -415,14 +414,12 @@ type Fig1Point struct {
 // capacity, and the evolving end-to-end delay.
 func Fig1(opt Options) ([]Fig1Point, error) {
 	opt = opt.withDefaults()
-	pair := trace.CanonicalNetworks()[0]
-	data, fb := GenerateTracePair(pair, "down", opt.Duration, opt.Seed)
 	specs := make([]scenario.Spec, 2)
 	for i, scheme := range []string{"sprout", "skype"} {
 		spec := opt.baseSpec()
 		spec.Name = scheme
 		spec.Scheme = scheme
-		spec.DataTrace, spec.FeedbackTrace = data, fb
+		spec.Link = trace.CanonicalNetworks()[0].Name
 		spec.KeepDeliveries = true
 		specs[i] = spec
 	}
@@ -439,6 +436,7 @@ func Fig1(opt Options) ([]Fig1Point, error) {
 		series[i] = out
 	}
 	sprout, skype := series[0], series[1]
+	data := results[0].Spec.DataTrace // the bound canonical downlink trace
 	secs := int(opt.Duration / time.Second)
 	pts := make([]Fig1Point, 0, secs)
 	for s := 0; s < secs; s++ {

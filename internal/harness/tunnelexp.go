@@ -36,9 +36,6 @@ const tunnelClientMSS = scenario.TunnelClientMSS
 // over one shared trace pair.
 func RunTunnelComparison(opt Options) (TunnelResult, error) {
 	opt = opt.withDefaults()
-	pair := trace.CanonicalNetworks()[0] // Verizon LTE
-	data, fb := GenerateTracePair(pair, "down", opt.Duration, opt.Seed)
-
 	mkSpec := func(name string, tunnel bool) scenario.Spec {
 		spec := opt.baseSpec()
 		spec.Name = name
@@ -47,7 +44,7 @@ func RunTunnelComparison(opt Options) (TunnelResult, error) {
 			{Scheme: "skype", Count: 1, BaseFlow: flowSkype},
 		}
 		spec.Tunnel = tunnel
-		spec.DataTrace, spec.FeedbackTrace = data, fb
+		spec.Link = trace.CanonicalNetworks()[0].Name // Verizon LTE
 		return spec
 	}
 	results, _, err := runSpecs(opt, []scenario.Spec{mkSpec("direct", false), mkSpec("tunneled", true)}, nil)

@@ -198,9 +198,9 @@ func (l *Link) OnDelivery(fn func(Delivery)) { l.onDelivery = fn }
 
 // OnOpportunity registers fn to observe the instant of every delivery
 // opportunity the link services, whether or not any packet used it.
-// Streaming runs use this to accumulate the omniscient-protocol bound and
-// offered capacity online — the role the materialized trace's opportunity
-// slice plays in metrics.Evaluate. nil removes the observer.
+// Experiment runs use this to accumulate the omniscient-protocol bound and
+// offered capacity online, over exactly the opportunities served (a
+// looped trace included). nil removes the observer.
 func (l *Link) OnOpportunity(fn func(at time.Duration)) { l.onOpportunity = fn }
 
 // Deliveries returns the recorded delivery log.

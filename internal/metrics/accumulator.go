@@ -98,9 +98,9 @@ func (f *flowStream) meanDelay() time.Duration {
 // Accumulator builds the §5.1 metrics incrementally as packets are
 // delivered, in place of retaining an unbounded []link.Delivery and
 // reducing it after the run. It produces bit-identical results to
-// Evaluate/Throughput/EndToEndDelay on the equivalent log (Evaluate is now
-// a thin adapter over it), while a steady-state experiment run holds only
-// the O(deliveries-per-gap) segment list and a handful of counters.
+// Throughput/EndToEndDelay on the equivalent log (Evaluate is a thin
+// adapter over it), while a steady-state experiment run holds only the
+// O(deliveries-per-gap) segment list and a handful of counters.
 //
 // All buffers are retained across Start calls, so a reused accumulator
 // (engine worker-state reuse) runs whole experiments with zero steady-state
@@ -121,14 +121,13 @@ type Accumulator struct {
 	flowWindows      bool
 	flowFrom, flowTo []time.Duration
 
-	omniSegs []stats.Segment // scratch for the omniscient bound
+	omniSegs []stats.Segment // the omniscient protocol's d(t)
 	finished bool
 
-	// Online omniscient/capacity stream for runs whose opportunity
-	// schedule is never materialized (streaming delivery processes): the
-	// link reports each opportunity instant through ObserveOpportunity,
-	// and these replay exactly the cursor/base recurrence of
-	// omniscientSegments plus the CapacityBits window count.
+	// Online omniscient/capacity stream: the link reports each
+	// opportunity instant it services through ObserveOpportunity (a
+	// trace is fed the same way by Evaluate), and these carry the d(t)
+	// cursor/base recurrence plus the in-window opportunity count.
 	trackOps    bool
 	prop        time.Duration
 	omniCursor  time.Duration
@@ -229,11 +228,10 @@ func (a *Accumulator) Observe(d link.Delivery) {
 }
 
 // TrackOpportunities arms the online omniscient-bound and capacity
-// stream for a streaming run; call it after Start, before the run. prop
-// is the link's propagation delay (the omniscient protocol's floor).
-// Feed every opportunity instant the link services — including warmup
-// opportunities before the window, which anchor d(from) exactly as the
-// pre-window slice of a materialized trace does — via ObserveOpportunity.
+// stream; call it after Start, before the run. prop is the link's
+// propagation delay (the omniscient protocol's floor). Feed every
+// opportunity instant the link services — including warmup opportunities
+// before the window, which anchor d(from) — via ObserveOpportunity.
 func (a *Accumulator) TrackOpportunities(prop time.Duration) {
 	a.trackOps = true
 	a.prop = prop
@@ -246,9 +244,8 @@ func (a *Accumulator) TrackOpportunities(prop time.Duration) {
 
 // ObserveOpportunity folds one delivery-opportunity instant into the
 // omniscient/capacity stream. Instants must arrive in nondecreasing
-// order (the order the link services them). The recurrence is the same
-// arithmetic omniscientSegments applies to a materialized opportunity
-// slice, so the finished bound is bit-identical to the post-hoc path.
+// order (the order the link services them). d(t) resets to prop at each
+// opportunity and grows at 1 s/s through the gaps between them.
 func (a *Accumulator) ObserveOpportunity(at time.Duration) {
 	if at < a.from {
 		// Before the window: only anchors the bound at d(from).
@@ -293,52 +290,50 @@ func (a *Accumulator) seal() {
 	}
 }
 
-// Evaluate returns the full §5.1 metric set against the trace that drove
-// the link, exactly as the package-level Evaluate computes it from a log.
-func (a *Accumulator) Evaluate(tr *trace.Trace, prop time.Duration) Result {
-	a.seal()
-	a.omniSegs = omniscientSegments(tr, prop, a.from, a.to, a.omniSegs[:0])
-	return a.finishResult(prop, tr.CapacityBits(a.from, a.to))
+// observeTrace feeds a materialized trace's opportunities up to the
+// window end through ObserveOpportunity.
+func (a *Accumulator) observeTrace(tr *trace.Trace) {
+	for _, at := range tr.Opportunities {
+		if at >= a.to {
+			return
+		}
+		a.ObserveOpportunity(at)
+	}
 }
 
-// finishResult assembles the Result from the sealed aggregate stream plus
-// the omniscient segments and offered capacity — one block of arithmetic
-// shared by the materialized and streaming paths, so they cannot drift
-// apart.
-func (a *Accumulator) finishResult(prop time.Duration, capBits int64) Result {
-	r := Result{
-		ThroughputBps: a.agg.throughputBps(a.from, a.to),
-		Delay95:       a.agg.delay(0.95),
-		MeanDelay:     a.agg.meanDelay(),
-	}
+// omniscient returns the p-quantile of the sealed omniscient d(t): the
+// propagation delay alone when the window saw no opportunity to anchor it.
+func (a *Accumulator) omniscient(p float64) time.Duration {
 	if len(a.omniSegs) == 0 {
-		r.Omniscient95 = prop
-	} else {
-		r.Omniscient95 = secondsToDuration(stats.SegmentPercentile(a.omniSegs, 0.95))
+		return a.prop
 	}
-	r.SelfInflicted95 = r.Delay95 - r.Omniscient95
-	if r.SelfInflicted95 < 0 {
-		r.SelfInflicted95 = 0
-	}
-	if capBits > 0 {
-		r.Utilization = r.ThroughputBps * (a.to - a.from).Seconds() / float64(capBits)
-	}
-	r.DeliveredBytes = a.agg.bytes
-	return r
+	return secondsToDuration(stats.SegmentPercentile(a.omniSegs, p))
 }
 
-// EvaluateStreaming returns the full §5.1 metric set for a streaming run,
-// with the omniscient bound and offered capacity taken from the
-// opportunity stream fed through ObserveOpportunity instead of a
-// materialized trace. Fed the same opportunity instants a trace holds, it
-// returns bit-identical results to Evaluate on that trace
-// (TestStreamingOpportunitiesMatchSlicePath).
+// EvaluateStreaming returns the full §5.1 metric set, with the omniscient
+// bound and offered capacity taken from the opportunity stream fed
+// through ObserveOpportunity. Every experiment run, and the package-level
+// Evaluate on a trace, finishes here.
 func (a *Accumulator) EvaluateStreaming() Result {
 	if !a.trackOps {
 		panic("metrics: EvaluateStreaming without TrackOpportunities")
 	}
 	a.seal()
-	return a.finishResult(a.prop, a.opsInWindow*trace.MTU*8)
+	r := Result{
+		ThroughputBps:  a.agg.throughputBps(a.from, a.to),
+		Delay95:        a.agg.delay(0.95),
+		Omniscient95:   a.omniscient(0.95),
+		MeanDelay:      a.agg.meanDelay(),
+		DeliveredBytes: a.agg.bytes,
+	}
+	r.SelfInflicted95 = r.Delay95 - r.Omniscient95
+	if r.SelfInflicted95 < 0 {
+		r.SelfInflicted95 = 0
+	}
+	if capBits := a.opsInWindow * trace.MTU * 8; capBits > 0 {
+		r.Utilization = r.ThroughputBps * (a.to - a.from).Seconds() / float64(capBits)
+	}
+	return r
 }
 
 // Delay95 returns the aggregate 95% end-to-end delay over all deliveries.

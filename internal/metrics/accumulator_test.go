@@ -2,12 +2,73 @@ package metrics
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"sprout/internal/link"
+	"sprout/internal/stats"
 	"sprout/internal/trace"
 )
+
+// sliceOmniscientSegments is the test oracle for the omniscient bound: the
+// post-hoc recurrence over a materialized opportunity slice that
+// experiments used before every run fed its opportunities online. It
+// builds the omniscient protocol's d(t) segments over [from, to).
+func sliceOmniscientSegments(tr *trace.Trace, prop, from, to time.Duration) []stats.Segment {
+	ops := tr.Opportunities
+	lo := sort.Search(len(ops), func(i int) bool { return ops[i] >= from })
+	cursor := from
+	haveBase := lo > 0 // an opportunity before the window anchors d(from)
+	base := time.Duration(0)
+	if haveBase {
+		base = ops[lo-1]
+	}
+	var segs []stats.Segment
+	for i := lo; i < len(ops) && ops[i] < to; i++ {
+		if ops[i] > cursor && haveBase {
+			segs = append(segs, stats.Segment{
+				Start: (cursor - base + prop).Seconds(),
+				Width: (ops[i] - cursor).Seconds(),
+			})
+		}
+		base = ops[i]
+		cursor = ops[i]
+		haveBase = true
+	}
+	if haveBase && to > cursor {
+		segs = append(segs, stats.Segment{
+			Start: (cursor - base + prop).Seconds(),
+			Width: (to - cursor).Seconds(),
+		})
+	}
+	return segs
+}
+
+// sliceEvaluate is the whole-result oracle: the retained-log primitives
+// for the delivery side, sliceOmniscientSegments and CapacityBits for the
+// trace side, combined with the Result arithmetic.
+func sliceEvaluate(log []link.Delivery, tr *trace.Trace, prop, from, to time.Duration) Result {
+	r := Result{
+		ThroughputBps: Throughput(log, from, to),
+		Delay95:       EndToEndDelay(log, from, to, 0.95),
+		Omniscient95:  prop,
+		MeanDelay:     MeanDelay(log, from, to),
+	}
+	if segs := sliceOmniscientSegments(tr, prop, from, to); len(segs) > 0 {
+		r.Omniscient95 = secondsToDuration(stats.SegmentPercentile(segs, 0.95))
+	}
+	r.SelfInflicted95 = max(r.Delay95-r.Omniscient95, 0)
+	if capBits := tr.CapacityBits(from, to); capBits > 0 {
+		r.Utilization = r.ThroughputBps * (to - from).Seconds() / float64(capBits)
+	}
+	for _, d := range log {
+		if d.DeliveredAt >= from && d.DeliveredAt < to {
+			r.DeliveredBytes += int64(d.Size)
+		}
+	}
+	return r
+}
 
 // randomLog builds a random delivery log in DeliveredAt order, with
 // interleaved flows and deliveries straddling the metric window.
@@ -53,33 +114,20 @@ func TestAccumulatorMatchesSlicePath(t *testing.T) {
 		prop := 20 * time.Millisecond
 
 		a.Start(from, to, flows)
+		a.TrackOpportunities(prop)
 		for _, d := range log {
 			a.Observe(d)
 		}
-		got := a.Evaluate(tr, prop)
-		want := func() Result {
-			var b Accumulator
-			b.Start(from, to, nil)
-			for _, d := range log {
-				b.Observe(d)
-			}
-			return b.Evaluate(tr, prop)
-		}()
-		if got != want {
+		a.observeTrace(tr)
+		got := a.EvaluateStreaming()
+		if want := Evaluate(log, tr, prop, from, to); got != want {
 			t.Fatalf("trial %d: per-flow accumulator aggregate %+v != plain %+v", trial, got, want)
 		}
-		// Against the slice primitives.
-		if tput := Throughput(log, from, to); got.ThroughputBps != tput {
-			t.Fatalf("trial %d: throughput %v != slice %v", trial, got.ThroughputBps, tput)
-		}
-		if d95 := EndToEndDelay(log, from, to, 0.95); got.Delay95 != d95 {
-			t.Fatalf("trial %d: delay95 %v != slice %v", trial, got.Delay95, d95)
-		}
-		if md := MeanDelay(log, from, to); got.MeanDelay != md {
-			t.Fatalf("trial %d: mean delay %v != slice %v", trial, got.MeanDelay, md)
+		if want := sliceEvaluate(log, tr, prop, from, to); got != want {
+			t.Fatalf("trial %d: accumulator %+v != slice oracle %+v", trial, got, want)
 		}
 		if om := OmniscientDelay(tr, prop, from, to, 0.95); got.Omniscient95 != om {
-			t.Fatalf("trial %d: omniscient %v != slice %v", trial, got.Omniscient95, om)
+			t.Fatalf("trial %d: omniscient %v != OmniscientDelay %v", trial, got.Omniscient95, om)
 		}
 		if agg := a.Delay95(); agg != got.Delay95 {
 			t.Fatalf("trial %d: Delay95 accessor %v != %v", trial, agg, got.Delay95)
@@ -113,10 +161,11 @@ func randomTrace(rng *rand.Rand, name string) *trace.Trace {
 }
 
 // TestStreamingOpportunitiesMatchSlicePath asserts the online
-// omniscient/capacity stream is bit-identical to the materialized-trace
-// path: feeding the trace's opportunity instants one at a time through
-// ObserveOpportunity and finishing with EvaluateStreaming equals
-// Evaluate(tr) on every field, across random traces, logs and windows.
+// omniscient/capacity stream is bit-identical to the slice oracle:
+// feeding the trace's opportunity instants one at a time through
+// ObserveOpportunity, interleaved with the deliveries the way a live run
+// produces them, and finishing with EvaluateStreaming equals the post-hoc
+// slice recurrence on every field, across random traces, logs and windows.
 func TestStreamingOpportunitiesMatchSlicePath(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	flows := []uint32{1, 2, 7}
@@ -131,9 +180,7 @@ func TestStreamingOpportunitiesMatchSlicePath(t *testing.T) {
 		a.Start(from, to, flows)
 		a.TrackOpportunities(prop)
 		li, oi := 0, 0
-		// Interleave deliveries and opportunities in time order, the way
-		// a live run produces them (relative order of same-instant events
-		// must not matter for the result).
+		// Relative order of same-instant events must not matter.
 		for li < len(log) || oi < tr.Count() {
 			if oi >= tr.Count() || (li < len(log) && log[li].DeliveredAt <= tr.Opportunities[oi]) {
 				a.Observe(log[li])
@@ -144,15 +191,18 @@ func TestStreamingOpportunitiesMatchSlicePath(t *testing.T) {
 			}
 		}
 		got := a.EvaluateStreaming()
-
-		var b Accumulator
-		b.Start(from, to, flows)
-		for _, d := range log {
-			b.Observe(d)
+		if want := sliceEvaluate(log, tr, prop, from, to); got != want {
+			t.Fatalf("trial %d: streaming %+v != slice oracle %+v", trial, got, want)
 		}
-		want := b.Evaluate(tr, prop)
-		if got != want {
-			t.Fatalf("trial %d: streaming %+v != materialized %+v", trial, got, want)
+		segs := sliceOmniscientSegments(tr, prop, from, to)
+		for _, p := range []float64{0.5, 0.99} {
+			want := prop
+			if len(segs) > 0 {
+				want = secondsToDuration(stats.SegmentPercentile(segs, p))
+			}
+			if om := OmniscientDelay(tr, prop, from, to, p); om != want {
+				t.Fatalf("trial %d: OmniscientDelay(p=%v) %v != slice oracle %v", trial, p, om, want)
+			}
 		}
 	}
 }

@@ -16,7 +16,6 @@
 package metrics
 
 import (
-	"sort"
 	"time"
 
 	"sprout/internal/link"
@@ -114,44 +113,16 @@ func MeanDelay(deliveries []link.Delivery, from, to time.Duration) time.Duration
 // of an omniscient protocol on the given trace: its packets arrive exactly
 // at each delivery opportunity having experienced only the propagation
 // delay, so d(t) resets to prop at each opportunity and grows at 1 s/s
-// through delivery gaps (outages still cost delay; §5.1).
+// through delivery gaps (outages still cost delay; §5.1). The trace's
+// opportunities feed the same recurrence a live run's link feeds the
+// Accumulator (ObserveOpportunity).
 func OmniscientDelay(tr *trace.Trace, prop, from, to time.Duration, p float64) time.Duration {
-	segs := omniscientSegments(tr, prop, from, to, nil)
-	if len(segs) == 0 {
-		return prop
-	}
-	return secondsToDuration(stats.SegmentPercentile(segs, p))
-}
-
-// omniscientSegments builds the omniscient protocol's d(t) segments over
-// [from, to), appending to segs (pass a reused buffer to avoid allocation).
-func omniscientSegments(tr *trace.Trace, prop, from, to time.Duration, segs []stats.Segment) []stats.Segment {
-	ops := tr.Opportunities
-	lo := sort.Search(len(ops), func(i int) bool { return ops[i] >= from })
-	cursor := from
-	haveBase := lo > 0 // an opportunity before the window anchors d(from)
-	base := time.Duration(0)
-	if haveBase {
-		base = ops[lo-1]
-	}
-	for i := lo; i < len(ops) && ops[i] < to; i++ {
-		if ops[i] > cursor && haveBase {
-			segs = append(segs, stats.Segment{
-				Start: (cursor - base + prop).Seconds(),
-				Width: (ops[i] - cursor).Seconds(),
-			})
-		}
-		base = ops[i]
-		cursor = ops[i]
-		haveBase = true
-	}
-	if haveBase && to > cursor {
-		segs = append(segs, stats.Segment{
-			Start: (cursor - base + prop).Seconds(),
-			Width: (to - cursor).Seconds(),
-		})
-	}
-	return segs
+	var a Accumulator
+	a.Start(from, to, nil)
+	a.TrackOpportunities(prop)
+	a.observeTrace(tr)
+	a.seal()
+	return a.omniscient(p)
 }
 
 // Result aggregates the paper's metrics for one experiment run.
@@ -176,16 +147,19 @@ type Result struct {
 
 // Evaluate computes the full metric set for a delivery log over [from, to)
 // against the trace that drove the link. The log must be in DeliveredAt
-// order (links record it that way). It is a thin adapter over Accumulator,
-// which experiments now feed online instead of retaining the log; the two
-// paths are the same code and produce bit-identical results.
+// order (links record it that way). It is a thin adapter over
+// Accumulator, which experiments feed online instead of retaining the log:
+// the log's deliveries and the trace's opportunities go through the very
+// recurrences a live run uses, so the two cannot drift apart.
 func Evaluate(deliveries []link.Delivery, tr *trace.Trace, prop, from, to time.Duration) Result {
 	var a Accumulator
 	a.Start(from, to, nil)
+	a.TrackOpportunities(prop)
 	for _, d := range deliveries {
 		a.Observe(d)
 	}
-	return a.Evaluate(tr, prop)
+	a.observeTrace(tr)
+	return a.EvaluateStreaming()
 }
 
 // FilterFlow returns only the deliveries belonging to the given flow,

@@ -20,14 +20,10 @@ func TestPooledWorldRerunAllocs(t *testing.T) {
 		Skip:     Duration(500 * time.Millisecond),
 		Seed:     3,
 	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := engine.NewCache()
+	job := compile(spec, engine.NewCache())
 	w := newWorld()
 	run := func() {
-		if _, err := runNormalized(norm, traces, w); err != nil {
+		if _, err := job.run(w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -49,20 +45,16 @@ func TestPooledWorldRerunMatchesFresh(t *testing.T) {
 		Skip:     Duration(500 * time.Millisecond),
 		Seed:     9,
 	}
-	norm, err := spec.Normalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	traces := engine.NewCache()
+	job := compile(spec, engine.NewCache())
 	w := newWorld()
-	if _, err := runNormalized(norm, traces, w); err != nil {
+	if _, err := job.run(w); err != nil {
 		t.Fatal(err) // warm the world on the same spec
 	}
-	warm, err := runNormalized(norm, traces, w)
+	warm, err := job.run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := runNormalized(norm, traces, newWorld())
+	fresh, err := job.run(newWorld())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,11 +93,8 @@ func TestPooledWorldSchemeSwitch(t *testing.T) {
 	schemes := []string{"sprout", "cubic", "skype", "sprout", "cubic", "skype"}
 	got := make([]Result, len(schemes))
 	for i, s := range schemes {
-		norm, err := mk(s).Normalize()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got[i], err = runNormalized(norm, traces, w)
+		var err error
+		got[i], err = compile(mk(s), traces).run(w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,8 +103,7 @@ func TestPooledWorldSchemeSwitch(t *testing.T) {
 		if got[i].Metrics != got[i+3].Metrics {
 			t.Errorf("%s: first run %+v != repeat %+v", schemes[i], got[i].Metrics, got[i+3].Metrics)
 		}
-		norm, _ := mk(schemes[i]).Normalize()
-		fresh, err := runNormalized(norm, traces, newWorld())
+		fresh, err := compile(mk(schemes[i]), traces).run(newWorld())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -132,7 +132,7 @@ func TestCellWorldReuse(t *testing.T) {
 	}
 	w := newWorld()
 	run := func() Result {
-		res, err := runNormalized(norm, nil, w)
+		res, err := runNormalized(norm, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +143,7 @@ func TestCellWorldReuse(t *testing.T) {
 	if avg := testing.AllocsPerRun(5, func() { run() }); avg > 0 {
 		t.Errorf("warm cell re-run allocates %.1f times per run, want 0", avg)
 	}
-	fresh, err := runNormalized(norm, nil, newWorld())
+	fresh, err := runNormalized(norm, newWorld())
 	if err != nil {
 		t.Fatal(err)
 	}

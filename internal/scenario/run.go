@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -69,26 +70,23 @@ type Result struct {
 // passing a shared engine.Cache lets concurrent runs share generated trace
 // pairs.
 func Run(spec Spec, traces *engine.Cache) (Result, error) {
-	norm, err := spec.Normalize()
-	if err != nil {
+	if traces == nil {
+		traces = engine.NewCache()
+	}
+	var res Result
+	job := indexJob([]Spec{spec}, 0, traces, func(_ int, r Result) error {
+		res = r
+		return nil
+	})
+	if err := job.Run(context.TODO(), nil); err != nil {
 		return Result{}, err
 	}
-	return runNormalized(norm, traces, newWorld())
+	return res, nil
 }
 
-// runNormalized executes a pre-normalized spec on the given pooled world
-// (the per-worker reuse path; CompileJobs normalizes once at compile time
-// so the hot job body does only simulation work). Streaming specs skip
-// trace resolution entirely: no materialized trace exists anywhere in
-// their run, and the engine cache is never consulted.
-func runNormalized(norm Spec, traces *engine.Cache, w *world) (Result, error) {
-	if norm.Process == nil {
-		data, feedback, err := norm.resolveTraces(traces, w)
-		if err != nil {
-			return Result{}, err
-		}
-		norm.DataTrace, norm.FeedbackTrace = data, feedback
-	}
+// runNormalized executes a normalized spec, its traces already bound, on
+// the given pooled world (the per-worker reuse path).
+func runNormalized(norm Spec, w *world) (Result, error) {
 	if norm.Cell != nil {
 		return runCell(norm, w)
 	}
@@ -232,7 +230,6 @@ func runDirect(spec Spec, w *world) (Result, error) {
 	}
 	w.begin()
 	duration := time.Duration(spec.Duration)
-	streaming := spec.Process != nil
 
 	var fwdDeq, revDeq link.Dequeuer
 	if spec.useCoDel() {
@@ -255,15 +252,14 @@ func runDirect(spec Spec, w *world) (Result, error) {
 	revCfg.Rand = reseed(&w.revRand, spec.Seed+2000)
 	rev := w.resetLink(&w.rev, revCfg, w.revHandler)
 
-	// Metrics accumulate as packets cross the link; the raw log is kept
-	// only when the spec asks for it. Streaming runs also accumulate the
-	// omniscient bound and offered capacity online, from the opportunity
-	// instants the link services — there is no trace to consult later.
+	// Metrics accumulate as packets cross the link, and the omniscient
+	// bound and offered capacity from the opportunity instants the link
+	// services — a looped trace included — so every direct run, trace or
+	// process, is measured by one path. The raw log is kept only when the
+	// spec asks for it.
 	trackFlows(spec, w)
-	if streaming {
-		w.acc.TrackOpportunities(time.Duration(spec.PropDelay))
-		fwd.OnOpportunity(w.observeOp)
-	}
+	w.acc.TrackOpportunities(time.Duration(spec.PropDelay))
+	fwd.OnOpportunity(w.observeOp)
 	fwd.OnDelivery(w.observe)
 	fwd.RecordDeliveries(spec.KeepDeliveries)
 
@@ -274,12 +270,7 @@ func runDirect(spec Spec, w *world) (Result, error) {
 	w.onFwd, w.onRev = dispatchData(eps), dispatchFeedback(eps)
 
 	w.loop.Run(duration)
-	res := Result{Spec: spec}
-	if streaming {
-		res.Metrics = w.acc.EvaluateStreaming()
-	} else {
-		res.Metrics = w.acc.Evaluate(spec.DataTrace, time.Duration(spec.PropDelay))
-	}
+	res := Result{Spec: spec, Metrics: w.acc.EvaluateStreaming()}
 	if spec.KeepDeliveries {
 		res.Deliveries = fwd.TakeDeliveries()
 	}

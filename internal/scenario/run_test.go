@@ -2,9 +2,13 @@ package scenario
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
 	"testing"
 	"time"
+
+	"sprout/internal/metrics"
+	"sprout/internal/trace"
 )
 
 // shortSpecs trims the testdata durations so the end-to-end sweep stays
@@ -137,5 +141,50 @@ func TestCoDelOverride(t *testing.T) {
 	if forcedOff.Metrics != plain.Metrics {
 		t.Errorf("cubic-codel with CoDel off = %+v, want plain cubic %+v",
 			forcedOff.Metrics, plain.Metrics)
+	}
+}
+
+// TestInjectedTraceLoopsInMetrics: an injected trace shorter than the run
+// loops on the link (mahimahi semantics), so the §5.1 omniscient bound and
+// offered capacity must be those of the looped stream the link served —
+// exactly what EvaluateStreaming reports when fed that stream — not of the
+// bare recording, against which a 20 s run would claim several times the
+// link's capacity.
+func TestInjectedTraceLoopsInMetrics(t *testing.T) {
+	pair, _ := LookupNetwork("Verizon LTE")
+	rng := rand.New(rand.NewSource(5))
+	data := pair.Down.Generate(5*time.Second, rng)
+	fb := pair.Up.Generate(5*time.Second, rng)
+	res, err := Run(Spec{
+		Scheme:         "cubic",
+		DataTrace:      data,
+		FeedbackTrace:  fb,
+		Duration:       Duration(20 * time.Second),
+		Skip:           Duration(4 * time.Second),
+		KeepDeliveries: true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, to := time.Duration(res.Spec.Skip), time.Duration(res.Spec.Duration)
+	cycles := int(to/data.Duration()) + 2
+	looped := trace.Collect(trace.NewLoop(trace.NewReplay(data)), "looped", cycles*data.Count())
+	if looped.Duration() < to {
+		t.Fatalf("looped stream ends at %v, before the run's %v", looped.Duration(), to)
+	}
+	var a metrics.Accumulator
+	a.Start(from, to, nil)
+	a.TrackOpportunities(time.Duration(res.Spec.PropDelay))
+	for _, d := range res.Deliveries {
+		a.Observe(d)
+	}
+	for _, at := range looped.Opportunities {
+		a.ObserveOpportunity(at)
+	}
+	if want := a.EvaluateStreaming(); res.Metrics != want {
+		t.Errorf("metrics over the looped trace:\n got  %+v\n want %+v", res.Metrics, want)
+	}
+	if u := res.Metrics.Utilization; u <= 0 || u > 1 {
+		t.Errorf("utilization %v outside (0, 1]", u)
 	}
 }

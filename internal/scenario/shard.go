@@ -192,32 +192,6 @@ func CompileIndexJobs(specs []Spec, traces *engine.Cache, indexes []int, sink fu
 	return jobs, traces, nil
 }
 
-// indexJob compiles the job for one global index. Specs are normalized
-// at compile time exactly as CompileJobs does — position in the full
-// grid determines a job's identity, name and seed derivation, regardless
-// of which shard (or rescue pass) runs it.
-func indexJob(specs []Spec, i int, traces *engine.Cache, sink func(int, Result) error) engine.Job {
-	spec := specs[i]
-	name := spec.Label()
-	norm, err := spec.Normalize()
-	if err != nil {
-		err := err
-		return engine.Job{Name: name, Run: func(context.Context, *engine.WorkerState) error {
-			return err
-		}}
-	}
-	return engine.Job{
-		Name: name,
-		Run: func(_ context.Context, ws *engine.WorkerState) error {
-			res, err := runNormalized(norm, traces, worldFor(ws))
-			if err != nil {
-				return err
-			}
-			return sink(i, res)
-		},
-	}
-}
-
 // lockedSink serializes record emission from one shard's concurrent
 // workers onto its single JSONL writer.
 func lockedSink(w *engine.RecordWriter) func(int, Result) error {

@@ -72,7 +72,7 @@ func TestStreamingWorldReuse(t *testing.T) {
 	}
 	w := newWorld()
 	run := func() Result {
-		res, err := runNormalized(norm, nil, w)
+		res, err := runNormalized(norm, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestStreamingWorldReuse(t *testing.T) {
 	if avg := testing.AllocsPerRun(5, func() { run() }); avg > 0 {
 		t.Errorf("warm streaming re-run allocates %.1f times per run, want 0", avg)
 	}
-	fresh, err := runNormalized(norm, nil, newWorld())
+	fresh, err := runNormalized(norm, newWorld())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,5 +328,40 @@ func TestTraceMemoryStreaming(t *testing.T) {
 	pairs, ops, bytes := TraceMemory(cache)
 	if pairs != 1 || ops <= 0 || bytes != int64(ops)*8 {
 		t.Errorf("materialized run: pairs=%d ops=%d bytes=%d, want 1 pair", pairs, ops, bytes)
+	}
+}
+
+// TestCompileGeneratesNoTraces: binding a canonical-link spec at compile
+// time builds only its cache key and generator; the pair is generated
+// inside the first job that asks for it, a down and an up spec on one
+// link share it (one miss, one hit), and a warm re-run only hits.
+func TestCompileGeneratesNoTraces(t *testing.T) {
+	mk := func(dir string) Spec {
+		return Spec{Scheme: "cubic", Link: "Verizon LTE", Direction: dir,
+			Duration: Duration(time.Second), Skip: Duration(200 * time.Millisecond)}
+	}
+	jobs, _, cache := CompileJobs([]Spec{mk("down"), mk("up")}, nil)
+	if pairs, _, _ := TraceMemory(cache); pairs != 0 {
+		t.Fatalf("compilation generated %d trace pairs, want 0", pairs)
+	}
+	if hits, misses := cache.Counts(); hits+misses != 0 {
+		t.Fatalf("compilation touched the cache: %d hits, %d misses", hits, misses)
+	}
+	if _, err := engine.New(1).Run(t.Context(), jobs); err != nil {
+		t.Fatal(err)
+	}
+	if pairs, _, _ := TraceMemory(cache); pairs != 1 {
+		t.Errorf("run retained %d trace pairs, want 1", pairs)
+	}
+	if hits, misses := cache.Counts(); hits != 1 || misses != 1 {
+		t.Errorf("cache counts = %d hits, %d misses; want 1/1", hits, misses)
+	}
+	// A warm re-run on the same cache generates nothing new.
+	warm, _, _ := CompileJobs([]Spec{mk("down"), mk("up")}, cache)
+	if _, err := engine.New(1).Run(t.Context(), warm); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := cache.Counts(); hits != 3 || misses != 1 {
+		t.Errorf("warm re-run cache counts = %d hits, %d misses; want 3/1", hits, misses)
 	}
 }

@@ -48,12 +48,6 @@ type world struct {
 	eps     []flowEndpoint
 	flowIDs []uint32
 	memo    map[endpointKey]any
-	keyBuf  []byte // trace-cache key scratch
-
-	// traceMemo short-circuits the shared engine.Cache for trace pairs
-	// this worker has already resolved: the shared lookup costs a
-	// generator closure per call, the worker-local hit costs nothing.
-	traceMemo map[string]tracePair
 
 	// procMemo holds this worker's compiled streaming-process instances,
 	// keyed by the normalized spec's *ProcessSpec identity (stable across
@@ -86,10 +80,9 @@ type endpointKey struct {
 
 func newWorld() *world {
 	w := &world{
-		loop:      sim.New(),
-		memo:      map[endpointKey]any{},
-		traceMemo: map[string]tracePair{},
-		procMemo:  map[*ProcessSpec]trace.DeliveryProcess{},
+		loop:     sim.New(),
+		memo:     map[endpointKey]any{},
+		procMemo: map[*ProcessSpec]trace.DeliveryProcess{},
 	}
 	w.fwdHandler = func(p *network.Packet) {
 		if w.onFwd != nil {
